@@ -13,7 +13,9 @@ use sgl_core::khop_pseudo::{self, Propagation};
 use sgl_core::{khop_poly, sssp_pseudo};
 use sgl_graph::generators;
 use sgl_platforms::placement::CoreLayout;
-use sgl_snn::engine::{DenseEngine, Engine, EventEngine, RunConfig, TimeSeriesObserver};
+use sgl_snn::engine::{
+    DenseEngine, Engine, EngineChoice, EventEngine, RunConfig, RunScratch, TimeSeriesObserver,
+};
 use sgl_snn::NeuronId;
 
 fn main() {
@@ -31,8 +33,10 @@ fn main() {
         // The event run carries a TimeSeriesObserver so the committed
         // report holds the full spikes-per-step wavefront profile.
         let mut obs = TimeSeriesObserver::new();
-        let ev = EventEngine
-            .run_observed(&net, &[NeuronId(0)], &cfg, &mut obs)
+        let ev = EngineChoice::Event
+            .prepare(&net)
+            .unwrap()
+            .run(&[NeuronId(0)], &cfg, &mut RunScratch::new(), &mut obs)
             .unwrap();
         let de = DenseEngine.run(&net, &[NeuronId(0)], &cfg).unwrap();
         assert_eq!(ev.first_spikes, de.first_spikes);

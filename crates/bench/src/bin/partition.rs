@@ -161,14 +161,17 @@ fn main() {
 
         for (plan, &parts) in plans.iter().zip(&PART_COUNTS) {
             let (result, stats) = plan
-                .run_with_stats(&[NeuronId(0)], &config)
+                .run_with_stats_threaded(&[NeuronId(0)], &config, 1)
                 .expect("valid SSSP net");
             assert_eq!(
                 event, result,
                 "partitioned@{parts} diverged from the event engine at n = {n}"
             );
             let (median, min, mean) = measure(samples, || {
-                std::hint::black_box(plan.run(&[NeuronId(0)], &config).unwrap());
+                std::hint::black_box(
+                    plan.run_with_stats_threaded(&[NeuronId(0)], &config, 1)
+                        .unwrap(),
+                );
             });
             append_json_line(&format!("p{parts}/{n}"), median, min, mean, samples);
             let rel = median.as_secs_f64() / event_median.as_secs_f64().max(1e-12);
@@ -208,7 +211,8 @@ fn main() {
                 );
                 let (median, min, mean) = measure(samples, || {
                     std::hint::black_box(
-                        plan.run_threaded(&[NeuronId(0)], &config, threads).unwrap(),
+                        plan.run_with_stats_threaded(&[NeuronId(0)], &config, threads)
+                            .unwrap(),
                     );
                 });
                 append_json_line(

@@ -36,13 +36,9 @@ use std::time::Duration;
 
 use sgl_core::{khop_layered, sssp_pseudo::SpikingSssp};
 use sgl_graph::{Graph, Len};
-use sgl_observe::{Json, PhaseProfiler, RunObserver};
-use sgl_snn::engine::{
-    BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine, RunConfig, RunResult,
-    RunScratch,
-};
-use sgl_snn::partition::PartitionedEngine;
-use sgl_snn::{Network, NeuronId, SnnError};
+use sgl_observe::{Json, NullObserver, PhaseProfiler, RunObserver};
+use sgl_snn::engine::{EngineChoice, Prepared, RunConfig, RunResult, RunScratch};
+use sgl_snn::{Network, NeuronId, PartitionPlan, SnnError};
 
 /// Structural fingerprint of a graph: 64-bit FNV-1a over `(n, m)` and the
 /// CSR edge list. Two graphs with the same node count and identical
@@ -378,11 +374,12 @@ pub enum Algo {
 }
 
 /// A compiled, resident, source-independent network plus everything
-/// needed to run a query on it without consulting the graph again.
+/// needed to run a query on it without consulting the graph again: the
+/// network is validated (and, when `Auto` partitions it, its plan
+/// compiled) once, at compile time, never per query.
 #[derive(Debug)]
 pub struct CompiledNet {
-    net: Network,
-    engine: EngineChoice,
+    prepared: Prepared<Network>,
     budget: u64,
     n: usize,
     algo: Algo,
@@ -406,6 +403,12 @@ impl CompiledNet {
     /// reaching here.
     #[must_use]
     pub fn compile(g: &Graph, algo: Algo) -> Self {
+        Self::compile_on(g, algo, EngineChoice::Auto)
+    }
+
+    /// [`Self::compile`] on an explicit engine choice (the cache always
+    /// passes `Auto`; tests pin each engine).
+    fn compile_on(g: &Graph, algo: Algo, choice: EngineChoice) -> Self {
         let mut profiler = PhaseProfiler::new();
         profiler.start("build");
         let (net, budget) = match algo {
@@ -422,16 +425,17 @@ impl CompiledNet {
         profiler.stop();
         let build = profiler.total();
         // "load": making the built network runnable — engine selection
-        // over its structure (and wherever future engine-resident state
-        // preparation lands). Split out so traces can attribute cold-path
+        // over its structure, the one validation, and (when partitioned)
+        // the plan compile. Split out so traces can attribute cold-path
         // time to construction vs engine placement.
         profiler.start("load");
-        let engine = EngineChoice::Auto.resolve(&net);
+        let prepared = choice
+            .prepare(net)
+            .expect("graph constructions build valid networks");
         profiler.stop();
         let load = profiler.total().saturating_sub(build);
         Self {
-            net,
-            engine,
+            prepared,
             budget,
             n: g.n(),
             algo,
@@ -454,10 +458,12 @@ impl CompiledNet {
         (self.build, self.load)
     }
 
-    /// Resident heap bytes of the compiled network (CSR + parameters).
+    /// Resident heap bytes of the compiled network (CSR + parameters),
+    /// plus its partition plan when the entry holds one.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.net.memory_bytes()
+        self.prepared.network().memory_bytes()
+            + self.prepared.plan().map_or(0, PartitionPlan::memory_bytes)
     }
 
     /// The `t = 0` stimulus that makes this network answer for `source`.
@@ -478,7 +484,7 @@ impl CompiledNet {
     /// Neuron count (for sizing diagnostics).
     #[must_use]
     pub fn neurons(&self) -> usize {
-        self.net.neuron_count()
+        self.prepared.network().neuron_count()
     }
 
     /// Runs a query from `source` over the worker's recycled scratch.
@@ -492,32 +498,11 @@ impl CompiledNet {
         target: Option<usize>,
         scratch: &mut RunScratch,
     ) -> Result<RunResult, SnnError> {
-        let config = match (self.algo, target) {
-            // Target-directed stop lives in the RunConfig, not the
-            // network, so the cached network stays target-independent.
-            (Algo::Sssp, Some(t)) => RunConfig::until_all(vec![NeuronId(t as u32)], self.budget),
-            _ => RunConfig::until_quiescent(self.budget),
-        };
-        let spikes = self.initial_spikes(source);
-        match self.engine {
-            EngineChoice::Dense => {
-                DenseEngine.run_with_scratch(&self.net, &spikes, &config, scratch)
-            }
-            EngineChoice::Bitplane => {
-                BitplaneEngine.run_with_scratch(&self.net, &spikes, &config, scratch)
-            }
-            // No scratch path: the partitioned engine owns per-partition
-            // state (chosen by Auto only for nets too big for one engine).
-            EngineChoice::Partitioned { parts, threads } => PartitionedEngine::new(parts)
-                .with_threads(threads)
-                .run(&self.net, &spikes, &config),
-            _ => EventEngine.run_with_scratch(&self.net, &spikes, &config, scratch),
-        }
+        self.run_observed(source, target, scratch, &mut NullObserver)
     }
 
     /// [`Self::run`] with a [`RunObserver`] attached — the traced query
-    /// path, reusing the engines' existing observed entry points so
-    /// tracing needs no new engine instrumentation.
+    /// path.
     ///
     /// # Errors
     /// Propagates simulator errors (none expected for validated inputs).
@@ -529,22 +514,13 @@ impl CompiledNet {
         obs: &mut O,
     ) -> Result<RunResult, SnnError> {
         let config = match (self.algo, target) {
+            // Target-directed stop lives in the RunConfig, not the
+            // network, so the cached network stays target-independent.
             (Algo::Sssp, Some(t)) => RunConfig::until_all(vec![NeuronId(t as u32)], self.budget),
             _ => RunConfig::until_quiescent(self.budget),
         };
-        let spikes = self.initial_spikes(source);
-        match self.engine {
-            EngineChoice::Dense => {
-                DenseEngine.run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs)
-            }
-            EngineChoice::Bitplane => {
-                BitplaneEngine.run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs)
-            }
-            EngineChoice::Partitioned { parts, threads } => PartitionedEngine::new(parts)
-                .with_threads(threads)
-                .run_observed(&self.net, &spikes, &config, obs),
-            _ => EventEngine.run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs),
-        }
+        self.prepared
+            .run(&self.initial_spikes(source), &config, scratch, obs)
     }
 
     /// Decodes per-node distances from a finished run.
@@ -693,11 +669,40 @@ mod tests {
     #[test]
     fn compiled_sssp_matches_dijkstra_for_every_source() {
         let g = ref_graph(101);
-        let compiled = CompiledNet::compile(&g, Algo::Sssp);
+        // One recycled scratch across every engine and source.
         let mut scratch = RunScratch::new();
-        for s in 0..g.n() {
-            let r = compiled.run(s, None, &mut scratch).unwrap();
-            assert_eq!(compiled.decode(&r), dijkstra(&g, s).distances, "source {s}");
+        for choice in [
+            EngineChoice::Auto,
+            EngineChoice::Event,
+            EngineChoice::Bitplane,
+            EngineChoice::Dense,
+            EngineChoice::Partitioned {
+                parts: 2,
+                threads: 1,
+            },
+            EngineChoice::Partitioned {
+                parts: 2,
+                threads: 2,
+            },
+        ] {
+            let compiled = CompiledNet::compile_on(&g, Algo::Sssp, choice);
+            let net_bytes = compiled.prepared.network().memory_bytes();
+            if let EngineChoice::Partitioned { .. } = choice {
+                assert!(
+                    compiled.memory_bytes() > net_bytes,
+                    "{choice:?}: the cached plan is counted"
+                );
+            } else {
+                assert_eq!(compiled.memory_bytes(), net_bytes, "{choice:?}");
+            }
+            for s in 0..g.n() {
+                let r = compiled.run(s, None, &mut scratch).unwrap();
+                assert_eq!(
+                    compiled.decode(&r),
+                    dijkstra(&g, s).distances,
+                    "{choice:?}, source {s}"
+                );
+            }
         }
     }
 
@@ -724,7 +729,7 @@ mod tests {
         for algo in [Algo::Sssp, Algo::Khop(3)] {
             let c = CompiledNet::compile(&g, algo);
             assert!(
-                c.net.is_frozen(),
+                c.prepared.network().is_frozen(),
                 "bulk compile must not leave adjacency resident"
             );
             assert!(c.compile_time() > Duration::ZERO);

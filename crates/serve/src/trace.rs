@@ -234,12 +234,16 @@ impl Tracing {
 
     /// Completes a trace: records the root `request` span, retains
     /// sampled traces in the span rings, and promotes the trace to the
-    /// keep-buffer when it out-waited the slow threshold.
+    /// keep-buffer when it out-waited the slow threshold. The root closes
+    /// at `now` or at the latest recorded child end, whichever is later,
+    /// so it always encloses its children — a child timestamped by its
+    /// own clock may legitimately end after the instant `finish` reads.
     ///
     /// # Panics
     /// Panics if a ring or keep-buffer lock is poisoned.
     pub fn finish(&self, mut ctx: Box<TraceCtx>) {
-        let end_ns = ctx.now_ns();
+        let last_child_end = ctx.spans().iter().map(|s| s.end_ns).max().unwrap_or(0);
+        let end_ns = ctx.now_ns().max(last_child_end);
         ctx.record(Stage::Request, ctx.start_ns, end_ns);
         let wall_ns = end_ns.saturating_sub(ctx.start_ns);
         self.traced.fetch_add(1, Ordering::Relaxed);
@@ -491,26 +495,34 @@ mod tests {
 
     #[test]
     fn spans_recorded_through_ctx_reach_the_dump_nested() {
-        let t = Tracing::new(cfg(1, None), 2);
-        let start = Instant::now();
-        let mut ctx = t.begin(Some(5), start).unwrap();
-        let s0 = ctx.start_ns;
-        ctx.record(Stage::Parse, s0, s0 + 100);
-        ctx.record(Stage::Admit, s0 + 100, s0 + 150);
-        ctx.record(Stage::QueueWait, s0 + 150, s0 + 400);
-        ctx.record(Stage::EngineRun, s0 + 400, s0 + 900);
-        ctx.record(Stage::Sim, s0 + 450, s0 + 900);
-        t.finish(ctx);
-        let j = t.chrome(Some(8));
-        let summary = validate_chrome(&j).unwrap();
-        assert!(summary.any_trace_with_stages(&[
-            "request",
-            "parse",
-            "admit",
-            "queue_wait",
-            "engine_run",
-            "sim",
-        ]));
+        // Children ending 900 ns and 10 ms after `begin`. `finish` runs
+        // mid-way through the second trace's children, so the root span
+        // must stretch to cover them rather than close at `now`.
+        for run_end in [900, 10_000_000] {
+            let t = Tracing::new(cfg(1, None), 2);
+            let start = Instant::now();
+            let mut ctx = t.begin(Some(5), start).unwrap();
+            let s0 = ctx.start_ns;
+            ctx.record(Stage::Parse, s0, s0 + 100);
+            ctx.record(Stage::Admit, s0 + 100, s0 + 150);
+            ctx.record(Stage::QueueWait, s0 + 150, s0 + 400);
+            ctx.record(Stage::EngineRun, s0 + 400, s0 + run_end);
+            ctx.record(Stage::Sim, s0 + 450, s0 + run_end);
+            t.finish(ctx);
+            let j = t.chrome(Some(8));
+            let summary = validate_chrome(&j).unwrap();
+            assert!(
+                summary.any_trace_with_stages(&[
+                    "request",
+                    "parse",
+                    "admit",
+                    "queue_wait",
+                    "engine_run",
+                    "sim",
+                ]),
+                "children ending {run_end} ns after begin"
+            );
+        }
     }
 
     #[test]

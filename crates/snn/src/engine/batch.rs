@@ -9,8 +9,14 @@
 //! search throughput comes from reusing the loaded network across
 //! queries, not from per-query programming.
 //!
-//! This module provides that reuse in three pieces:
+//! This module provides that reuse in four pieces:
 //!
+//! * [`Prepared`] — an engine made ready for one network by
+//!   [`EngineChoice::prepare`]: `Auto` resolved, the network validated
+//!   under the chosen engine's rules, a partitioned choice's plan
+//!   compiled. Its one [`Prepared::run`] repeats none of that, so every
+//!   run path in the crate (the engines' own [`super::Engine::run`], the
+//!   batch pool, the serve cache) is prepare once, run many.
 //! * [`RunScratch`] — every transient buffer a run needs (time wheel,
 //!   voltages, synaptic accumulators, spike lists). [`RunScratch::reset`]
 //!   restores the exact observable state a fresh construction would
@@ -20,7 +26,7 @@
 //! * [`BatchRunner`] — executes a set of [`RunSpec`]s against one shared
 //!   network across a worker pool; each worker owns one scratch and
 //!   claims runs off an atomic work-stealing index, so a slow wavefront
-//!   never stalls the others. The network is validated once per batch,
+//!   never stalls the others. The engine is prepared once per batch,
 //!   not once per run.
 //! * [`run_jobs`] — the same pool for heterogeneous jobs (each with its
 //!   own network), used by the §7 approximate k-hop ensemble where every
@@ -31,16 +37,18 @@
 //! neurons) or is dense enough that per-step sorting of touched neurons
 //! costs more than a linear sweep.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sgl_observe::{BatchSummary, NullObserver};
+use sgl_observe::{BatchSummary, NullObserver, RunObserver};
 
 use super::wheel::TimeWheel;
 use super::{BitplaneEngine, DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, RunResult};
 use crate::error::SnnError;
 use crate::network::Network;
+use crate::partition::{PartitionPlan, PartitionedEngine};
 use crate::types::{NeuronId, Time};
 
 /// Reusable per-run engine state: everything a run allocates that is not
@@ -264,9 +272,151 @@ impl EngineChoice {
         }
     }
 
-    /// Whether the resolved engine needs event-mode network validation.
-    fn event_mode(self) -> bool {
-        matches!(self, Self::Event | Self::Partitioned { .. })
+    /// Makes this choice ready to run `net`: resolves `Auto` (default
+    /// partition budget), validates the network once under the chosen
+    /// engine's rules, and for a partitioned choice compiles its
+    /// [`PartitionPlan`] (whose compile is that choice's validation).
+    /// `net` may be borrowed (`&Network`) or owned (`Network`, for a
+    /// cache entry that outlives its builder).
+    ///
+    /// # Errors
+    /// Fails when the network is invalid for the chosen engine: a bad
+    /// parameter, a zero delay, a non-finite weight, or — for `Event` and
+    /// `Partitioned` — a spontaneous neuron.
+    pub fn prepare<N: Borrow<Network>>(self, net: N) -> Result<Prepared<N>, SnnError> {
+        let g = net.borrow();
+        let engine = match self {
+            Self::Auto => return self.resolve(g).prepare(net),
+            Self::Dense => {
+                g.validate(false)?;
+                Resolved::Dense
+            }
+            Self::Event => {
+                g.validate(true)?;
+                Resolved::Event
+            }
+            Self::Bitplane => {
+                g.validate(false)?;
+                Resolved::Bitplane
+            }
+            Self::Parallel(engine) => {
+                g.validate(false)?;
+                Resolved::Parallel(engine)
+            }
+            Self::Partitioned { parts, threads } => Resolved::Partitioned {
+                plan: PartitionedEngine::new(parts).compile(g)?,
+                threads,
+            },
+        };
+        Ok(Prepared { net, engine })
+    }
+}
+
+/// An engine made ready for one network by [`EngineChoice::prepare`],
+/// the only constructor: the choice is resolved, the network validated
+/// and (for a partitioned choice) its plan compiled. The network cannot
+/// change behind it, so [`Self::run`] repeats none of that work — prepare
+/// once, run from as many stimuli as needed, from as many threads as
+/// needed (`Prepared` is `Sync`; each thread brings its own scratch).
+///
+/// `N` is how the network is held: `&Network` borrows it for the length
+/// of a batch, `Network` owns it in a long-lived cache entry.
+///
+/// ```
+/// use sgl_snn::{Network, LifParams};
+/// use sgl_snn::engine::{EngineChoice, NullObserver, RunConfig, RunScratch};
+///
+/// let mut net = Network::new();
+/// let ids = net.add_neurons(LifParams::gate_at_least(1), 3);
+/// net.connect(ids[0], ids[1], 1.0, 2).unwrap();
+/// net.connect(ids[1], ids[2], 1.0, 3).unwrap();
+///
+/// let engine = EngineChoice::Auto.prepare(&net).unwrap(); // validated once
+/// let mut scratch = RunScratch::new();
+/// let cfg = RunConfig::until_quiescent(100);
+/// for &s in &ids {
+///     let r = engine.run(&[s], &cfg, &mut scratch, &mut NullObserver).unwrap();
+///     assert_eq!(r.first_spike(s), Some(0));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Prepared<N> {
+    net: N,
+    engine: Resolved,
+}
+
+/// What a [`Prepared`] runs on.
+#[derive(Debug)]
+enum Resolved {
+    Dense,
+    Event,
+    Bitplane,
+    Parallel(ParallelDenseEngine),
+    Partitioned { plan: PartitionPlan, threads: usize },
+}
+
+impl<N: Borrow<Network>> Prepared<N> {
+    /// Runs the prepared network with spikes induced in `initial_spikes`
+    /// at `t = 0`, calling `obs.on_finish` once the run succeeds. The
+    /// monolithic engines take all transient state from `scratch` (reset,
+    /// not reallocated, on entry — results are bit-identical to a fresh
+    /// scratch); the partitioned engine keeps per-partition state of its
+    /// own and leaves `scratch` untouched.
+    ///
+    /// The observer type monomorphizes: with [`NullObserver`] every hook
+    /// call and every `O::ENABLED` gate compiles away. The event-driven
+    /// engines (`Event`, `Partitioned`) call `on_step` only at event
+    /// times, so their series are sparse in `t`, exactly as their work
+    /// counters are; the partitioned engine additionally reports cut
+    /// traffic per channel and, when threaded, per-worker balance.
+    ///
+    /// # Errors
+    /// Fails on unknown initial neurons, a `Terminal` stop condition
+    /// without a terminal neuron, or (in strict mode) an exhausted step
+    /// budget.
+    pub fn run<O: RunObserver>(
+        &self,
+        initial_spikes: &[NeuronId],
+        config: &RunConfig,
+        scratch: &mut RunScratch,
+        obs: &mut O,
+    ) -> Result<RunResult, SnnError> {
+        let net = self.net.borrow();
+        let result = match &self.engine {
+            Resolved::Dense => DenseEngine.run_core(net, initial_spikes, config, scratch, obs),
+            Resolved::Event => EventEngine.run_core(net, initial_spikes, config, scratch, obs),
+            Resolved::Bitplane => {
+                BitplaneEngine.run_core(net, initial_spikes, config, scratch, obs)
+            }
+            Resolved::Parallel(engine) => {
+                engine.run_core(net, initial_spikes, config, scratch, obs)
+            }
+            Resolved::Partitioned { plan, threads } => plan
+                .run_core(initial_spikes, config, *threads, obs)
+                .map(|(result, _)| result),
+        }?;
+        obs.on_finish(
+            result.steps,
+            result.stats.spike_events,
+            result.stats.synaptic_deliveries,
+            result.stats.neuron_updates,
+        );
+        Ok(result)
+    }
+
+    /// The network this engine was prepared for.
+    #[must_use]
+    pub fn network(&self) -> &Network {
+        self.net.borrow()
+    }
+
+    /// The compiled partition plan, when the choice was partitioned.
+    #[must_use]
+    pub fn plan(&self) -> Option<&PartitionPlan> {
+        match &self.engine {
+            Resolved::Partitioned { plan, .. } => Some(plan),
+            _ => None,
+        }
     }
 }
 
@@ -350,20 +500,24 @@ impl<'a> BatchRunner<'a> {
         self
     }
 
-    /// Runs every spec, returning results in spec order. The network is
-    /// validated once; each worker recycles one scratch across the runs
-    /// it claims.
+    /// Runs every spec, returning results in spec order. The engine is
+    /// prepared once (see [`EngineChoice::prepare`]); each worker recycles
+    /// one scratch across the runs it claims.
     ///
     /// # Errors
     /// Same failure modes as [`super::Engine::run`] (the first failing
     /// run's error is returned; specs are independent, so which one
     /// surfaces is unspecified when several fail).
     pub fn run(&self, specs: &[RunSpec]) -> Result<Vec<RunResult>, SnnError> {
-        let choice = self.choice.resolve(self.net);
-        self.net.validate(choice.event_mode())?;
-        let net = self.net;
+        let prepared = self.choice.prepare(self.net)?;
         drive(specs.len(), self.threads, |i, scratch| {
-            run_resolved(choice, net, &specs[i], scratch)
+            let spec = &specs[i];
+            prepared.run(
+                &spec.initial_spikes,
+                &spec.config,
+                scratch,
+                &mut NullObserver,
+            )
         })
     }
 
@@ -383,9 +537,9 @@ impl<'a> BatchRunner<'a> {
 }
 
 /// Executes heterogeneous `(network, spec)` jobs over the same
-/// work-stealing pool and scratch recycling as [`BatchRunner`]. Engine
-/// choice resolves (and the network validates) per job, since every job
-/// may carry a different network — the approximate k-hop ensemble runs
+/// work-stealing pool and scratch recycling as [`BatchRunner`]. The
+/// engine is prepared per job, since every job may carry a different
+/// network — the approximate k-hop ensemble runs
 /// one differently-rounded network per scale.
 ///
 /// # Errors
@@ -397,9 +551,12 @@ pub fn run_jobs(
 ) -> Result<Vec<RunResult>, SnnError> {
     drive(jobs.len(), threads, |i, scratch| {
         let (net, spec) = &jobs[i];
-        let resolved = choice.resolve(net);
-        net.validate(resolved.event_mode())?;
-        run_resolved(resolved, net, spec, scratch)
+        choice.prepare(net)?.run(
+            &spec.initial_spikes,
+            &spec.config,
+            scratch,
+            &mut NullObserver,
+        )
     })
 }
 
@@ -417,41 +574,6 @@ pub fn summarize(results: &[RunResult]) -> BatchSummary {
         );
     }
     summary
-}
-
-/// Dispatches one pre-validated run to the resolved engine's hot path.
-fn run_resolved(
-    choice: EngineChoice,
-    net: &Network,
-    spec: &RunSpec,
-    scratch: &mut RunScratch,
-) -> Result<RunResult, SnnError> {
-    let obs = &mut NullObserver;
-    match choice {
-        // `Auto` cannot survive `resolve`; dense is the safe fallback.
-        EngineChoice::Dense | EngineChoice::Auto => {
-            DenseEngine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
-        EngineChoice::Event => {
-            EventEngine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
-        EngineChoice::Bitplane => {
-            BitplaneEngine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
-        EngineChoice::Parallel(engine) => {
-            engine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
-        // Compiles a fresh plan per run: the partitioned engine targets
-        // nets too large for one address space, where the run dwarfs the
-        // compile. Batch callers wanting compile-once reuse should hold a
-        // `PartitionPlan` and call `PartitionPlan::run` themselves.
-        EngineChoice::Partitioned { parts, threads } => {
-            use crate::engine::Engine;
-            crate::partition::PartitionedEngine::new(parts)
-                .with_threads(threads)
-                .run(net, &spec.initial_spikes, &spec.config)
-        }
-    }
 }
 
 /// The worker pool: `workers` threads claim indices `0..count` off an
@@ -523,9 +645,10 @@ mod tests {
         let b = net.add_neuron(LifParams::gate_at_least(1));
         net.connect(a, b, 1.0, 5000).unwrap();
 
+        let dense = EngineChoice::Dense.prepare(&net).unwrap();
         let mut scratch = RunScratch::new();
-        let r = DenseEngine
-            .run_with_scratch(&net, &[a], &RunConfig::fixed(3), &mut scratch)
+        let r = dense
+            .run(&[a], &RunConfig::fixed(3), &mut scratch, &mut NullObserver)
             .unwrap();
         assert_eq!(r.reason, StopReason::MaxStepsReached);
         // The t=0 spike scheduled a delivery at t=5000: still parked.
@@ -542,12 +665,11 @@ mod tests {
         assert_eq!(stats.overflow_hits, 0);
 
         // And the recycled scratch behaves exactly like a fresh one.
-        let recycled = DenseEngine
-            .run_with_scratch(&net, &[a], &RunConfig::until_quiescent(6000), &mut scratch)
+        let cfg = RunConfig::until_quiescent(6000);
+        let recycled = dense
+            .run(&[a], &cfg, &mut scratch, &mut NullObserver)
             .unwrap();
-        let fresh = DenseEngine
-            .run(&net, &[a], &RunConfig::until_quiescent(6000))
-            .unwrap();
+        let fresh = DenseEngine.run(&net, &[a], &cfg).unwrap();
         assert_eq!(recycled, fresh);
     }
 
@@ -660,7 +782,16 @@ mod tests {
         ));
         // And the routed choice runs, bit-identical to the event engine.
         let spec = RunSpec::new(vec![ids[0]], RunConfig::until_quiescent(300));
-        let got = run_resolved(choice, &net, &spec, &mut RunScratch::new()).unwrap();
+        let got = choice
+            .prepare(&net)
+            .unwrap()
+            .run(
+                &spec.initial_spikes,
+                &spec.config,
+                &mut RunScratch::new(),
+                &mut NullObserver,
+            )
+            .unwrap();
         let want = EventEngine
             .run(&net, &spec.initial_spikes, &spec.config)
             .unwrap();
@@ -743,6 +874,48 @@ mod tests {
         }
         // Sanity: the long-delay job really exercised the overflow path.
         assert_eq!(results[2].first_spikes[1], Some(5000));
+    }
+
+    #[test]
+    fn prepare_validates_before_any_run() {
+        // A spontaneous neuron is invalid for the event engine: the error
+        // comes from `prepare`, so no run (and no observer hook) happens.
+        let mut net = Network::new();
+        net.add_neuron(LifParams {
+            v_reset: 2.0,
+            v_threshold: 1.0,
+            decay: 0.0,
+        });
+        assert!(matches!(
+            EngineChoice::Event.prepare(&net),
+            Err(SnnError::SpontaneousNeuron(NeuronId(0)))
+        ));
+        // The dense rules accept it.
+        assert!(EngineChoice::Dense.prepare(&net).is_ok());
+    }
+
+    #[test]
+    fn one_prepared_plan_serves_every_source() {
+        // One compile, many stimuli, one recycled scratch: every run is
+        // bit-identical to a fresh event-engine run from the same source.
+        let (net, ids) = chain(12, 3);
+        for threads in [1, 2] {
+            let prepared = EngineChoice::Partitioned { parts: 3, threads }
+                .prepare(&net)
+                .unwrap();
+            assert_eq!(prepared.plan().map(PartitionPlan::parts), Some(3));
+            let mut scratch = RunScratch::new();
+            for &s in &ids {
+                let cfg = RunConfig::until_quiescent(100).with_raster();
+                let got = prepared
+                    .run(&[s], &cfg, &mut scratch, &mut NullObserver)
+                    .unwrap();
+                let want = EventEngine.run(&net, &[s], &cfg).unwrap();
+                assert_eq!(got, want, "source {s:?}, threads {threads}");
+            }
+        }
+        // Monolithic choices hold no plan.
+        assert!(EngineChoice::Event.prepare(&net).unwrap().plan().is_none());
     }
 
     #[test]

@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats, StepRecord};
 
 use super::batch::RunScratch;
-use super::{check_initial, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
+use super::{
+    check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopCondition, StopReason,
+};
 use crate::error::SnnError;
 use crate::network::{BitplaneTopology, Network};
 use crate::types::{NeuronId, Time};
@@ -47,7 +49,12 @@ impl Engine for BitplaneEngine {
         initial_spikes: &[NeuronId],
         config: &RunConfig,
     ) -> Result<RunResult, SnnError> {
-        self.run_observed(net, initial_spikes, config, &mut NullObserver)
+        EngineChoice::Bitplane.prepare(net)?.run(
+            initial_spikes,
+            config,
+            &mut RunScratch::new(),
+            &mut NullObserver,
+        )
     }
 }
 
@@ -233,63 +240,9 @@ fn extract_fired(fired_words: &[u64], fired: &mut Vec<NeuronId>) {
 }
 
 impl BitplaneEngine {
-    /// [`Engine::run`] with telemetry hooks (monomorphized away for
-    /// [`NullObserver`], like the other engines).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        let mut scratch = RunScratch::new();
-        self.run_with_scratch_observed(net, initial_spikes, config, &mut scratch, obs)
-    }
-
-    /// [`Engine::run`] over recycled buffers (see
-    /// [`super::DenseEngine::run_with_scratch`]).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-    ) -> Result<RunResult, SnnError> {
-        self.run_with_scratch_observed(net, initial_spikes, config, scratch, &mut NullObserver)
-    }
-
-    /// [`Self::run_with_scratch`] with telemetry hooks.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        net.validate(false)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
+    /// The hot path: runs a network that [`EngineChoice::prepare`] has
+    /// already validated (see [`super::Prepared::run`]).
+    pub(crate) fn run_core<O: RunObserver>(
         &self,
         net: &Network,
         initial_spikes: &[NeuronId],
@@ -577,14 +530,20 @@ mod tests {
         net.connect(ids[0], ids[1], 1.0, 5000).unwrap(); // overflow path
         net.connect(ids[1], ids[2], 1.0, 2).unwrap();
         let cfg = RunConfig::until_quiescent(6000).with_raster();
+        let prepared = EngineChoice::Bitplane.prepare(&net).unwrap();
         let mut scratch = RunScratch::new();
         // First run parks overflow state; the recycled second run must
         // still match a fresh one exactly.
-        BitplaneEngine
-            .run_with_scratch(&net, &[ids[0]], &RunConfig::fixed(3), &mut scratch)
+        prepared
+            .run(
+                &[ids[0]],
+                &RunConfig::fixed(3),
+                &mut scratch,
+                &mut NullObserver,
+            )
             .unwrap();
-        let recycled = BitplaneEngine
-            .run_with_scratch(&net, &[ids[0]], &cfg, &mut scratch)
+        let recycled = prepared
+            .run(&[ids[0]], &cfg, &mut scratch, &mut NullObserver)
             .unwrap();
         let fresh = BitplaneEngine.run(&net, &[ids[0]], &cfg).unwrap();
         assert_eq!(recycled, fresh);

@@ -4,7 +4,9 @@ use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::wheel::TimeWheel;
-use super::{check_initial, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
+use super::{
+    check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopCondition, StopReason,
+};
 use crate::error::SnnError;
 use crate::network::{CsrTopology, Network};
 use crate::types::{NeuronId, Time};
@@ -27,73 +29,19 @@ impl Engine for DenseEngine {
         initial_spikes: &[NeuronId],
         config: &RunConfig,
     ) -> Result<RunResult, SnnError> {
-        self.run_observed(net, initial_spikes, config, &mut NullObserver)
+        EngineChoice::Dense.prepare(net)?.run(
+            initial_spikes,
+            config,
+            &mut RunScratch::new(),
+            &mut NullObserver,
+        )
     }
 }
 
 impl DenseEngine {
-    /// [`Engine::run`] with telemetry hooks. The observer type
-    /// monomorphizes: with [`NullObserver`] every hook call and every
-    /// `O::ENABLED` gate compiles away, leaving the unobserved hot path
-    /// (the criterion smoke benches hold this to within 5%).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        let mut scratch = RunScratch::new();
-        self.run_with_scratch_observed(net, initial_spikes, config, &mut scratch, obs)
-    }
-
-    /// [`Engine::run`] over recycled buffers: all transient run state
-    /// (time wheel, voltages, synaptic accumulators, spike lists) comes
-    /// from `scratch`, which is reset — not reallocated — on entry.
-    /// Results are bit-identical to a fresh [`Engine::run`]; the batch
-    /// bit-identity proptests enforce this.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-    ) -> Result<RunResult, SnnError> {
-        self.run_with_scratch_observed(net, initial_spikes, config, scratch, &mut NullObserver)
-    }
-
-    /// [`Self::run_with_scratch`] with telemetry hooks.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        net.validate(false)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
+    /// The hot path: runs a network that [`EngineChoice::prepare`] has
+    /// already validated (see [`super::Prepared::run`]).
+    pub(crate) fn run_core<O: RunObserver>(
         &self,
         net: &Network,
         initial_spikes: &[NeuronId],

@@ -4,7 +4,9 @@ use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::dense::route_spikes;
-use super::{check_initial, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
+use super::{
+    check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopCondition, StopReason,
+};
 use crate::error::SnnError;
 use crate::network::Network;
 use crate::types::{NeuronId, Time};
@@ -36,71 +38,19 @@ impl Engine for EventEngine {
         initial_spikes: &[NeuronId],
         config: &RunConfig,
     ) -> Result<RunResult, SnnError> {
-        self.run_observed(net, initial_spikes, config, &mut NullObserver)
+        EngineChoice::Event.prepare(net)?.run(
+            initial_spikes,
+            config,
+            &mut RunScratch::new(),
+            &mut NullObserver,
+        )
     }
 }
 
 impl EventEngine {
-    /// [`Engine::run`] with telemetry hooks; see
-    /// [`DenseEngine::run_observed`](super::DenseEngine::run_observed).
-    /// `on_step` fires only at event times (the engine skips quiet
-    /// intervals), so the observer's series is sparse in `t` — exactly as
-    /// the stats are.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        let mut scratch = RunScratch::new();
-        self.run_with_scratch_observed(net, initial_spikes, config, &mut scratch, obs)
-    }
-
-    /// [`Engine::run`] over recycled buffers; see
-    /// [`DenseEngine::run_with_scratch`](super::DenseEngine::run_with_scratch).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-    ) -> Result<RunResult, SnnError> {
-        self.run_with_scratch_observed(net, initial_spikes, config, scratch, &mut NullObserver)
-    }
-
-    /// [`Self::run_with_scratch`] with telemetry hooks.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        net.validate(true)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
+    /// The hot path: runs a network that [`EngineChoice::prepare`] has
+    /// already validated (see [`super::Prepared::run`]).
+    pub(crate) fn run_core<O: RunObserver>(
         &self,
         net: &Network,
         initial_spikes: &[NeuronId],

@@ -16,7 +16,7 @@ pub(crate) mod sync;
 pub(crate) mod wheel;
 
 pub use batch::{
-    run_jobs, summarize, BatchRunner, EngineChoice, RunScratch, RunSpec,
+    run_jobs, summarize, BatchRunner, EngineChoice, Prepared, RunScratch, RunSpec,
     DEFAULT_PARTITION_MEMORY_BUDGET,
 };
 pub use bitplane::BitplaneEngine;
@@ -218,7 +218,10 @@ impl RunResult {
 
 /// A spiking-network execution engine.
 pub trait Engine {
-    /// Runs `net` with spikes induced in `initial_spikes` at `t = 0`.
+    /// Runs `net` with spikes induced in `initial_spikes` at `t = 0`: a
+    /// one-shot [`EngineChoice::prepare`] plus [`Prepared::run`] over a
+    /// fresh scratch. Callers running one network many times (or with an
+    /// observer) prepare once and call [`Prepared::run`] themselves.
     ///
     /// # Errors
     /// Fails on invalid networks, unknown initial neurons, a `Terminal`

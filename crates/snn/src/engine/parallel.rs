@@ -39,7 +39,8 @@ use super::batch::RunScratch;
 use super::dense::route_spikes;
 use super::sync::SpinBarrier;
 use super::{
-    check_initial, DenseEngine, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason,
+    check_initial, DenseEngine, Engine, EngineChoice, Recorder, RunConfig, RunResult,
+    StopCondition, StopReason,
 };
 use crate::error::SnnError;
 use crate::params::LifParams;
@@ -53,6 +54,8 @@ pub const DEFAULT_MIN_CHUNK: usize = 64;
 
 /// Dense engine with per-step neuron-range parallelism over `threads`
 /// worker threads (1 = sequential, identical to [`super::DenseEngine`]).
+/// Observed runs additionally report the coordinator's per-step
+/// barrier-block time via [`RunObserver::on_barrier_wait`].
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelDenseEngine {
     /// Worker threads per step.
@@ -106,69 +109,16 @@ impl Engine for ParallelDenseEngine {
         initial_spikes: &[NeuronId],
         config: &RunConfig,
     ) -> Result<RunResult, SnnError> {
-        self.run_observed(net, initial_spikes, config, &mut NullObserver)
+        EngineChoice::Parallel(*self).prepare(net)?.run(
+            initial_spikes,
+            config,
+            &mut RunScratch::new(),
+            &mut NullObserver,
+        )
     }
 }
 
 impl ParallelDenseEngine {
-    /// [`Engine::run`] with telemetry hooks; see
-    /// [`DenseEngine::run_observed`](super::DenseEngine::run_observed).
-    /// Additionally reports the coordinator's per-step barrier-block time
-    /// via [`RunObserver::on_barrier_wait`] (only when `O::ENABLED`).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        let mut scratch = RunScratch::new();
-        self.run_with_scratch_observed(net, initial_spikes, config, &mut scratch, obs)
-    }
-
-    /// [`Engine::run`] over recycled coordinator buffers; see
-    /// [`DenseEngine::run_with_scratch`](super::DenseEngine::run_with_scratch).
-    /// The per-worker chunk state still lives with the workers (spawned
-    /// per run); the scratch recycles the scheduler and spike buffers.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-    ) -> Result<RunResult, SnnError> {
-        self.run_with_scratch_observed(net, initial_spikes, config, scratch, &mut NullObserver)
-    }
-
-    /// [`Self::run_with_scratch`] with telemetry hooks.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_scratch_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        net.validate(false)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
     /// Neurons each worker owns for a network of `n` neurons: an even
     /// split across `threads`, floored at `min_chunk` so tiny networks
     /// shed workers instead of paying barrier overhead.
@@ -176,9 +126,9 @@ impl ParallelDenseEngine {
         n.div_ceil(self.threads.max(1)).max(self.min_chunk.max(1))
     }
 
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
+    /// The hot path: runs a network that [`EngineChoice::prepare`] has
+    /// already validated (see [`super::Prepared::run`]).
+    pub(crate) fn run_core<O: RunObserver>(
         &self,
         net: &Network,
         initial_spikes: &[NeuronId],

@@ -73,8 +73,8 @@ pub use builder::NetworkBuilder;
 pub use encoding::{read_value, value_to_bits};
 pub use engine::{
     run_jobs, BatchRunner, BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine,
-    NullObserver, ParallelDenseEngine, RunConfig, RunObserver, RunResult, RunScratch, RunSpec,
-    SimStats, StopCondition, StopReason, TimeSeriesObserver,
+    NullObserver, ParallelDenseEngine, Prepared, RunConfig, RunObserver, RunResult, RunScratch,
+    RunSpec, SimStats, StopCondition, StopReason, TimeSeriesObserver,
 };
 pub use error::SnnError;
 pub use network::{BitplaneTopology, Network, Synapse};

@@ -216,55 +216,17 @@ pub(super) fn aggregate_scheduler<'a>(
 
 impl PartitionPlan {
     /// Runs the plan with spikes induced in `initial_spikes` (global ids)
-    /// at `t = 0`. Bit-identical to running the source network on
-    /// [`crate::engine::EventEngine`].
+    /// at `t = 0`, driven by `threads` worker threads (1 = the sequential
+    /// driver; see [`super::driver`]), and returns the run stats with the
+    /// result — including the per-worker busy/barrier-wait totals and
+    /// superstep imbalance when the threaded driver actually engaged.
+    /// Bit-identical to running the source network on
+    /// [`crate::engine::EventEngine`] at any thread count.
     ///
     /// # Errors
     /// Fails on unknown initial neurons, a `Terminal` stop condition
     /// without a terminal neuron, or (in strict mode) an exhausted step
     /// budget. The network itself was validated at compile time.
-    pub fn run(
-        &self,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<RunResult, SnnError> {
-        self.run_threaded(initial_spikes, config, 1)
-    }
-
-    /// [`Self::run`] driven by `threads` worker threads (1 = the
-    /// sequential driver; see [`super::driver`]). Bit-identical to
-    /// [`Self::run`] at any thread count.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Self::run`].
-    pub fn run_threaded(
-        &self,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        threads: usize,
-    ) -> Result<RunResult, SnnError> {
-        self.run_observed_threaded(initial_spikes, config, threads, &mut NullObserver)
-            .map(|(result, _)| result)
-    }
-
-    /// [`Self::run`] returning the per-channel cut-traffic counters too.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Self::run`].
-    pub fn run_with_stats(
-        &self,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        self.run_observed(initial_spikes, config, &mut NullObserver)
-    }
-
-    /// [`Self::run_threaded`] returning the run stats — including the
-    /// per-worker busy/barrier-wait totals and superstep imbalance when
-    /// the threaded driver actually engaged.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Self::run`].
     pub fn run_with_stats_threaded(
         &self,
         initial_spikes: &[NeuronId],
@@ -274,31 +236,18 @@ impl PartitionPlan {
         self.run_observed_threaded(initial_spikes, config, threads, &mut NullObserver)
     }
 
-    /// [`Self::run`] with telemetry hooks. Alongside the usual step and
-    /// scheduler series (aggregated across partitions), the observer
-    /// receives [`RunObserver::on_cut_traffic`] once per channel with
-    /// traffic per superstep.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Self::run`].
-    pub fn run_observed<O: RunObserver>(
-        &self,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        obs: &mut O,
-    ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        self.run_observed_threaded(initial_spikes, config, 1, obs)
-    }
-
-    /// [`Self::run_observed`] driven by `threads` workers. The step,
-    /// scheduler, and cut-traffic series are bit-identical to the
-    /// sequential driver's; the threaded driver additionally reports
+    /// [`Self::run_with_stats_threaded`] with telemetry hooks. Alongside
+    /// the usual step and scheduler series (aggregated across
+    /// partitions), the observer receives [`RunObserver::on_cut_traffic`]
+    /// once per channel with traffic per superstep. The step, scheduler,
+    /// and cut-traffic series are bit-identical at any thread count; the
+    /// threaded driver additionally reports
     /// [`RunObserver::on_worker_superstep`],
     /// [`RunObserver::on_superstep_imbalance`], and the coordinator's
     /// [`RunObserver::on_barrier_wait`].
     ///
     /// # Errors
-    /// Same failure modes as [`Self::run`].
+    /// Same failure modes as [`Self::run_with_stats_threaded`].
     pub fn run_observed_threaded<O: RunObserver>(
         &self,
         initial_spikes: &[NeuronId],
@@ -316,7 +265,10 @@ impl PartitionPlan {
         Ok((result, stats))
     }
 
-    fn run_core<O: RunObserver>(
+    /// [`Self::run_observed_threaded`] without the final `on_finish` —
+    /// the shared hot path ([`crate::engine::Prepared::run`] reports the
+    /// finish itself).
+    pub(crate) fn run_core<O: RunObserver>(
         &self,
         initial_spikes: &[NeuronId],
         config: &RunConfig,
@@ -684,8 +636,8 @@ pub(super) fn emit_cut_traffic<O: RunObserver>(
 ///
 /// Bit-identical to [`crate::engine::EventEngine`] (including work
 /// counters) under any partition count and strategy. For repeated runs
-/// over one network, compile the plan once via [`Self::compile`] and call
-/// [`PartitionPlan::run`] directly.
+/// over one network, compile the plan once via [`Self::compile`] (or
+/// [`crate::engine::EngineChoice::prepare`]) and run that.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionedEngine {
     /// Number of partitions (>= 1; empty partitions are allowed).
@@ -732,47 +684,22 @@ impl PartitionedEngine {
     pub fn compile(&self, net: &Network) -> Result<PartitionPlan, SnnError> {
         PartitionPlan::compile(net, self.parts, self.strategy.partitioner())
     }
-
-    /// [`Engine::run`] with telemetry hooks; see
-    /// [`PartitionPlan::run_observed`].
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_observed<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
-        self.compile(net)?
-            .run_observed_threaded(initial_spikes, config, self.threads, obs)
-            .map(|(result, _)| result)
-    }
-
-    /// One-shot compile + run returning the cut-traffic counters.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_with_stats(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        self.compile(net)?
-            .run_with_stats_threaded(initial_spikes, config, self.threads)
-    }
 }
 
 impl Engine for PartitionedEngine {
+    /// One-shot compile + run. Repeated runs over one network compile once
+    /// instead: [`crate::engine::EngineChoice::prepare`] (default cut
+    /// strategy) or [`Self::compile`] plus
+    /// [`PartitionPlan::run_with_stats_threaded`].
     fn run(
         &self,
         net: &Network,
         initial_spikes: &[NeuronId],
         config: &RunConfig,
     ) -> Result<RunResult, SnnError> {
-        self.run_observed(net, initial_spikes, config, &mut NullObserver)
+        self.compile(net)?
+            .run_with_stats_threaded(initial_spikes, config, self.threads)
+            .map(|(result, _)| result)
     }
 }
 
@@ -810,7 +737,9 @@ mod tests {
         let net = chain(4, 1);
         let (result, stats) = PartitionedEngine::new(2)
             .with_strategy(CutStrategy::Range)
-            .run_with_stats(&net, &[NeuronId(0)], &RunConfig::until_quiescent(10))
+            .compile(&net)
+            .unwrap()
+            .run_with_stats_threaded(&[NeuronId(0)], &RunConfig::until_quiescent(10), 1)
             .unwrap();
         assert_eq!(result.stats.spike_events, 4);
         assert_eq!(stats.parts, 2);
@@ -845,7 +774,9 @@ mod tests {
         let cfg = RunConfig::until_quiescent(10);
         let mono = EventEngine.run(&net, &[NeuronId(0)], &cfg).unwrap();
         let (part, stats) = PartitionedEngine::new(8)
-            .run_with_stats(&net, &[NeuronId(0)], &cfg)
+            .compile(&net)
+            .unwrap()
+            .run_with_stats_threaded(&[NeuronId(0)], &cfg, 1)
             .unwrap();
         assert_eq!(mono, part);
         assert_eq!(stats.parts, 8);

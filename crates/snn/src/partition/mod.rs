@@ -27,9 +27,10 @@
 //! * [`driver`] — the threaded BSP driver: a persistent worker pool
 //!   where each worker owns a fixed set of partitions and meets the
 //!   others at a tiered barrier between the compute and merge phases.
-//!   Engaged by [`PartitionedEngine::with_threads`] (or
-//!   [`PartitionPlan::run_threaded`]); `threads <= 1` stays on the
-//!   sequential driver with zero barrier overhead.
+//!   Engaged by [`PartitionedEngine::with_threads`] (or the `threads`
+//!   argument of [`PartitionPlan::run_with_stats_threaded`]);
+//!   `threads <= 1` stays on the sequential driver with zero barrier
+//!   overhead.
 //!
 //! Results are bit-identical to [`crate::engine::EventEngine`] — same
 //! spike times, same raster, same work counters — under any partition

@@ -18,11 +18,27 @@
 use proptest::prelude::*;
 use sgl_snn::{
     engine::{
-        BitplaneEngine, DenseEngine, Engine, EventEngine, ParallelDenseEngine, RunConfig,
-        RunResult, TimeSeriesObserver,
+        BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine, ParallelDenseEngine,
+        RunConfig, RunObserver, RunResult, RunScratch, TimeSeriesObserver,
     },
     CutStrategy, LifParams, Network, NeuronId, PartitionedEngine,
 };
+
+/// One observed run: prepare `choice` for `net`, then run it once over a
+/// fresh scratch.
+fn run_observed<O: RunObserver>(
+    choice: EngineChoice,
+    net: &Network,
+    initial: &[NeuronId],
+    cfg: &RunConfig,
+    obs: &mut O,
+) -> RunResult {
+    choice
+        .prepare(net)
+        .unwrap()
+        .run(initial, cfg, &mut RunScratch::new(), obs)
+        .unwrap()
+}
 
 /// Partition counts every partitioned differential test sweeps: the
 /// degenerate single partition, balanced splits, and more partitions
@@ -264,11 +280,12 @@ proptest! {
                 TimeSeriesObserver::new(),
                 TimeSeriesObserver::new(),
             ];
+            let [o0, o1, o2, o3] = &mut observers;
             let observed: [RunResult; 4] = [
-                DenseEngine.run_observed(&net, &initial, &cfg, &mut observers[0]).unwrap(),
-                EventEngine.run_observed(&net, &initial, &cfg, &mut observers[1]).unwrap(),
-                par_engine.run_observed(&net, &initial, &cfg, &mut observers[2]).unwrap(),
-                BitplaneEngine.run_observed(&net, &initial, &cfg, &mut observers[3]).unwrap(),
+                run_observed(EngineChoice::Dense, &net, &initial, &cfg, o0),
+                run_observed(EngineChoice::Event, &net, &initial, &cfg, o1),
+                run_observed(EngineChoice::Parallel(par_engine), &net, &initial, &cfg, o2),
+                run_observed(EngineChoice::Bitplane, &net, &initial, &cfg, o3),
             ];
             for (p, (o, obs)) in plain.iter().zip(observed.iter().zip(&observers)) {
                 prop_assert_eq!(p, o);
@@ -284,7 +301,13 @@ proptest! {
                     let engine = PartitionedEngine::new(parts).with_threads(threads);
                     let plain_part = engine.run(&net, &initial, &cfg).unwrap();
                     let mut obs = TimeSeriesObserver::new();
-                    let observed_part = engine.run_observed(&net, &initial, &cfg, &mut obs).unwrap();
+                    let observed_part = run_observed(
+                        EngineChoice::Partitioned { parts, threads },
+                        &net,
+                        &initial,
+                        &cfg,
+                        &mut obs,
+                    );
                     prop_assert_eq!(&plain_part, &observed_part);
                     prop_assert_eq!(obs.total_spikes(), observed_part.stats.spike_events);
                     prop_assert_eq!(obs.total_deliveries(), observed_part.stats.synaptic_deliveries);
@@ -401,19 +424,21 @@ fn duplicate_initial_spikes_dedup_identically() {
         "partitioned-mt",
     ] {
         let mut tally = BatchTally::default();
-        let r = match name {
-            "dense" => DenseEngine.run_observed(&net, &initial, &cfg, &mut tally),
-            "event" => EventEngine.run_observed(&net, &initial, &cfg, &mut tally),
-            "parallel" => par.run_observed(&net, &initial, &cfg, &mut tally),
-            "partitioned" => {
-                PartitionedEngine::new(2).run_observed(&net, &initial, &cfg, &mut tally)
-            }
-            "partitioned-mt" => PartitionedEngine::new(3)
-                .with_threads(2)
-                .run_observed(&net, &initial, &cfg, &mut tally),
-            _ => BitplaneEngine.run_observed(&net, &initial, &cfg, &mut tally),
-        }
-        .unwrap();
+        let choice = match name {
+            "dense" => EngineChoice::Dense,
+            "event" => EngineChoice::Event,
+            "parallel" => EngineChoice::Parallel(par),
+            "partitioned" => EngineChoice::Partitioned {
+                parts: 2,
+                threads: 1,
+            },
+            "partitioned-mt" => EngineChoice::Partitioned {
+                parts: 3,
+                threads: 2,
+            },
+            _ => EngineChoice::Bitplane,
+        };
+        let r = run_observed(choice, &net, &initial, &cfg, &mut tally);
         tallies.push((name, r, tally));
     }
 

@@ -4,9 +4,26 @@
 //! barrier side channels must reflect what the engines actually did.
 
 use sgl_snn::engine::{
-    DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, TimeSeriesObserver,
+    EngineChoice, ParallelDenseEngine, RunConfig, RunObserver, RunResult, RunScratch,
+    TimeSeriesObserver,
 };
 use sgl_snn::{LifParams, Network, NeuronId};
+
+/// One observed run: prepare `choice` for `net`, then run it once over a
+/// fresh scratch.
+fn run_observed<O: RunObserver>(
+    choice: EngineChoice,
+    net: &Network,
+    initial: &[NeuronId],
+    cfg: &RunConfig,
+    obs: &mut O,
+) -> RunResult {
+    choice
+        .prepare(net)
+        .unwrap()
+        .run(initial, cfg, &mut RunScratch::new(), obs)
+        .unwrap()
+}
 
 /// A weighted chain with gaps: 0 -> 1 -> 2 -> 3 with delays 3, 1, 5, plus
 /// a shortcut 0 -> 2 (delay 7) that arrives after the chain already fired
@@ -27,32 +44,20 @@ fn series_reconcile_with_sim_stats_on_all_engines() {
     let cfg = RunConfig::until_quiescent(64);
     let initial = [ids[0]];
 
+    let parallel = EngineChoice::Parallel(ParallelDenseEngine {
+        threads: 2,
+        min_chunk: 1,
+    });
     let runs: [(&str, _); 3] = [
-        ("dense", {
-            let mut obs = TimeSeriesObserver::new();
-            let r = DenseEngine
-                .run_observed(&net, &initial, &cfg, &mut obs)
-                .unwrap();
-            (r, obs)
-        }),
-        ("event", {
-            let mut obs = TimeSeriesObserver::new();
-            let r = EventEngine
-                .run_observed(&net, &initial, &cfg, &mut obs)
-                .unwrap();
-            (r, obs)
-        }),
-        ("parallel", {
-            let mut obs = TimeSeriesObserver::new();
-            let r = ParallelDenseEngine {
-                threads: 2,
-                min_chunk: 1,
-            }
-            .run_observed(&net, &initial, &cfg, &mut obs)
-            .unwrap();
-            (r, obs)
-        }),
-    ];
+        ("dense", EngineChoice::Dense),
+        ("event", EngineChoice::Event),
+        ("parallel", parallel),
+    ]
+    .map(|(name, choice)| {
+        let mut obs = TimeSeriesObserver::new();
+        let r = run_observed(choice, &net, &initial, &cfg, &mut obs);
+        (name, (r, obs))
+    });
 
     for (name, (result, obs)) in &runs {
         assert_eq!(
@@ -126,9 +131,7 @@ fn overflow_scheduling_is_counted() {
     net.connect(ids[0], ids[1], 1.0, 5000).unwrap();
     let cfg = RunConfig::until_quiescent(6000);
     let mut obs = TimeSeriesObserver::new();
-    let r = EventEngine
-        .run_observed(&net, &[ids[0]], &cfg, &mut obs)
-        .unwrap();
+    let r = run_observed(EngineChoice::Event, &net, &[ids[0]], &cfg, &mut obs);
     assert_eq!(r.first_spikes[1], Some(5000));
     assert_eq!(obs.scheduler.overflow_hits, 1);
     // The in-flight gauge saw the parked delivery before it drained.
@@ -141,12 +144,11 @@ fn barrier_waits_only_from_the_parallel_coordinator() {
     let cfg = RunConfig::until_quiescent(64);
 
     let mut par = TimeSeriesObserver::new();
-    ParallelDenseEngine {
+    let three = EngineChoice::Parallel(ParallelDenseEngine {
         threads: 3,
         min_chunk: 1,
-    }
-    .run_observed(&net, &[ids[0]], &cfg, &mut par)
-    .unwrap();
+    });
+    run_observed(three, &net, &[ids[0]], &cfg, &mut par);
     assert!(
         par.barrier_wait.count() > 0,
         "coordinator never timed a barrier"
@@ -155,12 +157,11 @@ fn barrier_waits_only_from_the_parallel_coordinator() {
 
     // threads == 1 delegates to the dense engine: no barriers exist.
     let mut single = TimeSeriesObserver::new();
-    let one = ParallelDenseEngine {
+    let one_thread = EngineChoice::Parallel(ParallelDenseEngine {
         threads: 1,
         min_chunk: 1,
-    }
-    .run_observed(&net, &[ids[0]], &cfg, &mut single)
-    .unwrap();
+    });
+    let one = run_observed(one_thread, &net, &[ids[0]], &cfg, &mut single);
     assert_eq!(single.barrier_wait.count(), 0);
     assert!(
         single.finished.is_some(),
@@ -169,9 +170,7 @@ fn barrier_waits_only_from_the_parallel_coordinator() {
     assert_eq!(single.total_spikes(), one.stats.spike_events);
 
     let mut dense = TimeSeriesObserver::new();
-    DenseEngine
-        .run_observed(&net, &[ids[0]], &cfg, &mut dense)
-        .unwrap();
+    run_observed(EngineChoice::Dense, &net, &[ids[0]], &cfg, &mut dense);
     assert_eq!(dense.barrier_wait.count(), 0);
 }
 
@@ -181,7 +180,7 @@ fn spike_batches_cover_all_deliveries() {
     // run every routed delivery is eventually drained, so batch sums must
     // equal the delivery total. A bespoke observer checks the hook
     // directly rather than through TimeSeriesObserver.
-    use sgl_snn::engine::{RunObserver, StepRecord};
+    use sgl_snn::engine::StepRecord;
 
     #[derive(Default)]
     struct BatchSum {
@@ -199,16 +198,9 @@ fn spike_batches_cover_all_deliveries() {
 
     let (net, ids) = chain_net();
     let cfg = RunConfig::until_quiescent(64);
-    for engine_run in [
-        |net: &Network, initial: &[NeuronId], cfg: &RunConfig, obs: &mut BatchSum| {
-            DenseEngine.run_observed(net, initial, cfg, obs).map(|_| ())
-        },
-        |net: &Network, initial: &[NeuronId], cfg: &RunConfig, obs: &mut BatchSum| {
-            EventEngine.run_observed(net, initial, cfg, obs).map(|_| ())
-        },
-    ] {
+    for choice in [EngineChoice::Dense, EngineChoice::Event] {
         let mut obs = BatchSum::default();
-        engine_run(&net, &[ids[0]], &cfg, &mut obs).unwrap();
+        run_observed(choice, &net, &[ids[0]], &cfg, &mut obs);
         assert!(obs.routed > 0, "chain produced no deliveries");
         assert_eq!(obs.drained, obs.routed);
     }

@@ -55,7 +55,7 @@ fn all_cut_star_routes_every_delivery_through_channels() {
         .run(&net, &[NeuronId(0)], &RunConfig::until_quiescent(10))
         .unwrap();
     let (part, stats) = plan
-        .run_with_stats(&[NeuronId(0)], &RunConfig::until_quiescent(10))
+        .run_with_stats_threaded(&[NeuronId(0)], &RunConfig::until_quiescent(10), 1)
         .unwrap();
     assert_eq!(mono, part);
     assert_eq!(stats.cut_messages, 40, "every delivery crossed a cut");
@@ -82,7 +82,9 @@ fn channel_spill_path_is_lossless_and_ordered() {
     let plan = PartitionPlan::compile(&net, 2, &Fixed(assignment)).unwrap();
     let cfg = RunConfig::until_quiescent(10);
     let mono = EventEngine.run(&net, &[NeuronId(0)], &cfg).unwrap();
-    let (part, stats) = plan.run_with_stats(&[NeuronId(0)], &cfg).unwrap();
+    let (part, stats) = plan
+        .run_with_stats_threaded(&[NeuronId(0)], &cfg, 1)
+        .unwrap();
     assert_eq!(mono, part);
     assert_eq!(stats.cut_messages, n_leaves as u64);
     assert!(
@@ -170,14 +172,18 @@ fn empty_partitions_and_zero_cut_partitions_run_clean() {
 
     let plan = PartitionPlan::compile(&net, 2, &RangePartitioner).unwrap();
     assert_eq!(plan.cut_edge_count(), 0, "clusters align with the split");
-    let (part, stats) = plan.run_with_stats(&[ids[0], ids[3]], &cfg).unwrap();
+    let (part, stats) = plan
+        .run_with_stats_threaded(&[ids[0], ids[3]], &cfg, 1)
+        .unwrap();
     assert_eq!(mono, part);
     assert_eq!(stats.cut_messages, 0);
     assert!(stats.channels.is_empty(), "no cut, no channels");
 
     // 12 partitions over 6 neurons: at least 6 are empty.
     let (part, stats) = PartitionedEngine::new(12)
-        .run_with_stats(&net, &[ids[0], ids[3]], &cfg)
+        .compile(&net)
+        .unwrap()
+        .run_with_stats_threaded(&[ids[0], ids[3]], &cfg, 1)
         .unwrap();
     assert_eq!(mono, part);
     assert_eq!(stats.parts, 12);
@@ -242,7 +248,9 @@ proptest! {
         let engine = PartitionedEngine::new(parts).with_strategy(CutStrategy::BfsGrow);
         let plan = engine.compile(&net).unwrap();
         let mut tally = CutTally::default();
-        let (result, stats) = plan.run_observed(&initial, &cfg, &mut tally).unwrap();
+        let (result, stats) = plan
+            .run_observed_threaded(&initial, &cfg, 1, &mut tally)
+            .unwrap();
 
         // Expected totals from the spike counts: each spike of neuron v
         // delivers out_degree(v) times, cut_degree(v) of them over

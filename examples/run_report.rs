@@ -42,7 +42,7 @@ use spiking_graphs::graph::generators;
 use spiking_graphs::observe::{sparkline, Json, LogHistogram, PhaseProfiler, RunReport};
 use spiking_graphs::snn::audit::audit;
 use spiking_graphs::snn::engine::{
-    BatchRunner, EventEngine, RunConfig, RunSpec, TimeSeriesObserver,
+    BatchRunner, EngineChoice, RunConfig, RunScratch, RunSpec, TimeSeriesObserver,
 };
 use spiking_graphs::snn::NeuronId;
 
@@ -632,15 +632,17 @@ fn main() {
     let net = SpikingSssp::new(&g, 0).build_network();
     let findings = audit(&net);
 
-    // load: simulation configuration (placement/programming in hardware).
+    // load: simulation configuration (placement/programming in hardware):
+    // the engine is prepared — the network validated — once, here.
     phases.start("load");
+    let engine = EngineChoice::Event.prepare(&net).expect("valid network");
     let cfg = RunConfig::until_quiescent(10 * g.n() as u64);
     let mut obs = TimeSeriesObserver::new();
 
     // run: the observed simulation.
     phases.start("run");
-    let result = EventEngine
-        .run_observed(&net, &[NeuronId(0)], &cfg, &mut obs)
+    let result = engine
+        .run(&[NeuronId(0)], &cfg, &mut RunScratch::new(), &mut obs)
         .expect("simulation");
 
     // readout: summarize and serialize.
