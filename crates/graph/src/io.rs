@@ -82,10 +82,12 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, DimacsError> {
                 if parts.next() != Some("sp") {
                     return Err(DimacsError::BadProblemLine(lineno));
                 }
+                // Node ids are u32 throughout the workspace; a larger
+                // count is malformed input, not a panic in the builder.
                 n = parts
                     .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(DimacsError::BadProblemLine(lineno))?;
+                    .and_then(|s| s.parse::<u32>().ok())
+                    .ok_or(DimacsError::BadProblemLine(lineno))? as usize;
                 declared_arcs = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -227,6 +229,12 @@ mod tests {
         assert_eq!(
             parse_dimacs("a 1 2 3\n"),
             Err(DimacsError::BadProblemLine(1))
+        );
+        // A node count past the u32 id space used to panic in
+        // `GraphBuilder::new`.
+        assert_eq!(
+            parse_dimacs("c big\np sp 5000000000 0\n"),
+            Err(DimacsError::BadProblemLine(2))
         );
     }
 

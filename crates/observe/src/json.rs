@@ -203,14 +203,22 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a short untrusted input
+/// (100 KB of `[`) overflow the parsing thread's stack. Every document
+/// this workspace writes nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring it to span the whole input.
 ///
 /// # Errors
-/// Fails on malformed input or trailing non-whitespace.
+/// Fails on malformed input, trailing non-whitespace, or arrays/objects
+/// nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -224,6 +232,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -265,11 +275,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -475,6 +498,22 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"abc", "{}x"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}0{}", "{\"k\":".repeat(d), "}".repeat(d));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // 100,000 `[` used to overflow the parsing thread's stack.
+        for deep in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            assert_eq!(parse(&deep).unwrap_err().msg, "nesting too deep");
         }
     }
 

@@ -1,23 +1,27 @@
-//! Admission control: the bounded queue between request intake and the
-//! worker pool, plus the server lifecycle it enforces.
+//! Admission control: the bounded per-shard queue between request intake
+//! and the shard that executes the request, plus the server lifecycle it
+//! enforces.
 //!
 //! The contract (and the overload test's assertions):
 //!
 //! * The queue is **bounded**. A push against a full queue fails
 //!   *synchronously* — the caller turns that into a typed `overloaded`
-//!   response. Nothing ever blocks on admission, so intake threads stay
-//!   responsive no matter how far behind the workers are.
+//!   response. Nothing ever blocks on admission or on taking work: a
+//!   shard polls its queue with [`AdmissionQueue::try_pop`] between I/O
+//!   passes, so intake stays responsive no matter how far behind the
+//!   shards are.
 //! * Lifecycle is monotone: `Running → Draining → Stopped`. Draining
 //!   rejects new work (typed `draining`) but **every job already admitted
-//!   is still answered** — workers keep popping until the queue is empty,
-//!   then observe `Draining` and exit. That invariant is what makes the
-//!   caller's blocking wait on a [`ResponseSlot`] safe: an admitted job's
-//!   slot is always filled, by execution or by a deadline rejection.
+//!   is still answered** — a shard keeps popping until its queue is
+//!   empty, and only then, seeing `Draining`, exits. That invariant is
+//!   what makes the caller's blocking wait on a [`ResponseSlot`] safe: an
+//!   admitted job's slot is always filled, by execution or by a deadline
+//!   rejection.
 //! * Deadlines are checked at *pop* time against the enqueue timestamp:
 //!   a job that out-waited its deadline is answered `deadline_exceeded`
 //!   without being executed, so a backed-up queue sheds stale work
-//!   instead of burning workers on answers nobody is waiting for.
-//!   (The check lives in the worker loop; this module carries the data.)
+//!   instead of burning a shard on answers nobody is waiting for.
+//!   (The check lives in the shard loop; this module carries the data.)
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,15 +38,15 @@ pub enum Lifecycle {
     Running,
     /// Rejecting new work; admitted work still completes.
     Draining,
-    /// All workers have exited; the queue is empty.
+    /// All shards have exited; the queue is empty.
     Stopped,
 }
 
 /// One-shot response rendezvous between the admitting thread and the
-/// worker that executes the job. `fill` is called exactly once per
+/// shard that executes the job. `fill` is called exactly once per
 /// admitted job (the drain invariant above). The job's trace context
 /// (if it was a traced request) rides back with the response so the
-/// intake thread can keep recording spans after the worker is done.
+/// intake thread can keep recording spans after the shard is done.
 #[derive(Debug, Default)]
 pub struct ResponseSlot {
     #[allow(clippy::type_complexity)] // one tuple, named right here
@@ -133,31 +137,19 @@ pub enum AdmissionError {
     Draining(Job),
 }
 
-/// Result of a non-blocking [`AdmissionQueue::try_pop`].
-#[derive(Debug)]
-pub enum Popped {
-    /// The next admitted job.
-    Job(Job),
-    /// Nothing queued right now; more work may still be admitted.
-    Empty,
-    /// Draining (or stopped) **and** the backlog is exhausted — the
-    /// consumer's signal that no job will ever arrive again.
-    ShuttingDown,
-}
-
 #[derive(Debug)]
 struct QueueState {
     jobs: VecDeque<Job>,
     lifecycle: Lifecycle,
 }
 
-/// The bounded admission queue (push: any intake thread; pop: workers).
+/// The bounded admission queue (push: any intake thread; pop: the owning
+/// shard).
 #[derive(Debug)]
 pub struct AdmissionQueue {
     state: Mutex<QueueState>,
-    takeable: Condvar,
     capacity: usize,
-    /// Jobs handed to workers after drain began — the backlog the drain
+    /// Jobs handed to the shard after drain began — the backlog the drain
     /// invariant promises to finish, made countable for `server_stats`.
     drained: AtomicU64,
 }
@@ -175,7 +167,6 @@ impl AdmissionQueue {
                 jobs: VecDeque::with_capacity(capacity),
                 lifecycle: Lifecycle::Running,
             }),
-            takeable: Condvar::new(),
             capacity,
             drained: AtomicU64::new(0),
         }
@@ -202,64 +193,34 @@ impl AdmissionQueue {
             return Err(AdmissionError::Full(job));
         }
         s.jobs.push_back(job);
-        drop(s);
-        self.takeable.notify_one();
         Ok(())
     }
 
-    /// Blocks for the next job. Returns `None` exactly when the server is
-    /// draining **and** the queue is empty — the worker's signal to exit.
-    /// Admitted jobs are always handed out before any `None`.
+    /// Takes the next admitted job, never blocking (a shard must return
+    /// to its poller instead of parking). Hands out the backlog while
+    /// draining — the drain invariant — so `None` while draining means
+    /// the backlog is exhausted and no job will ever arrive again.
     ///
     /// # Panics
     /// Panics if the queue lock is poisoned.
     #[must_use]
-    pub fn pop(&self) -> Option<Job> {
+    pub fn try_pop(&self) -> Option<Job> {
         let mut s = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(job) = s.jobs.pop_front() {
-                if s.lifecycle != Lifecycle::Running {
-                    self.drained.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(job);
-            }
-            if s.lifecycle != Lifecycle::Running {
-                return None;
-            }
-            s = self.takeable.wait(s).expect("queue lock");
-        }
-    }
-
-    /// Non-blocking pop for shard event loops (which must return to their
-    /// poller instead of parking on a condvar). Hands out the backlog
-    /// while draining — the drain invariant — and reports
-    /// [`Popped::ShuttingDown`] only once draining **and** empty.
-    ///
-    /// # Panics
-    /// Panics if the queue lock is poisoned.
-    #[must_use]
-    pub fn try_pop(&self) -> Popped {
-        let mut s = self.state.lock().expect("queue lock");
-        if let Some(job) = s.jobs.pop_front() {
-            if s.lifecycle != Lifecycle::Running {
-                self.drained.fetch_add(1, Ordering::Relaxed);
-            }
-            return Popped::Job(job);
-        }
+        let job = s.jobs.pop_front()?;
         if s.lifecycle != Lifecycle::Running {
-            return Popped::ShuttingDown;
+            self.drained.fetch_add(1, Ordering::Relaxed);
         }
-        Popped::Empty
+        Some(job)
     }
 
-    /// Jobs handed to workers after drain began (cumulative).
+    /// Jobs handed to the shard after drain began (cumulative).
     #[must_use]
     pub fn drained(&self) -> u64 {
         self.drained.load(Ordering::Relaxed)
     }
 
-    /// Begins draining: no new admissions, workers finish the backlog and
-    /// exit. Idempotent.
+    /// Begins draining: no new admissions; the shard finishes the backlog
+    /// and exits. Idempotent.
     ///
     /// # Panics
     /// Panics if the queue lock is poisoned.
@@ -268,11 +229,9 @@ impl AdmissionQueue {
         if s.lifecycle == Lifecycle::Running {
             s.lifecycle = Lifecycle::Draining;
         }
-        drop(s);
-        self.takeable.notify_all();
     }
 
-    /// Marks the server fully stopped (workers joined).
+    /// Marks the server fully stopped (shards joined).
     ///
     /// # Panics
     /// Panics if the queue lock is poisoned.
@@ -340,27 +299,14 @@ mod tests {
             q.try_push(job()),
             Err(AdmissionError::Draining(_))
         ));
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none(), "empty + draining terminates workers");
+        assert!(q.try_pop().is_some());
+        assert!(q.try_pop().is_some());
+        assert!(
+            q.try_pop().is_none(),
+            "empty + draining terminates the shard"
+        );
         assert_eq!(q.lifecycle(), Lifecycle::Draining);
         assert_eq!(q.drained(), 2, "backlog handed out after drain is counted");
-    }
-
-    #[test]
-    fn pop_blocks_until_push_or_drain() {
-        let q = Arc::new(AdmissionQueue::new(1));
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop().is_some());
-        std::thread::sleep(Duration::from_millis(20));
-        q.try_push(job()).unwrap();
-        assert!(t.join().unwrap());
-
-        let q3 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q3.pop().is_none());
-        std::thread::sleep(Duration::from_millis(20));
-        q.drain();
-        assert!(t.join().unwrap(), "drain must release blocked workers");
     }
 
     #[test]
@@ -382,20 +328,17 @@ mod tests {
     }
 
     #[test]
-    fn try_pop_distinguishes_empty_from_shutdown() {
+    fn try_pop_never_blocks() {
         let q = AdmissionQueue::new(2);
-        assert!(matches!(q.try_pop(), Popped::Empty), "running + empty");
+        assert!(q.try_pop().is_none(), "running + empty");
         q.try_push(job()).unwrap();
         q.try_push(job()).unwrap();
         q.drain();
         // The drain invariant: backlog first, then the terminal signal.
-        assert!(matches!(q.try_pop(), Popped::Job(_)));
-        assert!(matches!(q.try_pop(), Popped::Job(_)));
-        assert!(matches!(q.try_pop(), Popped::ShuttingDown));
-        assert!(
-            matches!(q.try_pop(), Popped::ShuttingDown),
-            "stays terminal"
-        );
+        assert!(q.try_pop().is_some());
+        assert!(q.try_pop().is_some());
+        assert!(q.try_pop().is_none());
+        assert!(q.try_pop().is_none(), "stays terminal");
         assert_eq!(q.drained(), 2);
     }
 

@@ -25,13 +25,16 @@
 //!   owns its connection set, registry partition, compiled-net cache,
 //!   and run queue; graphs route to shards by FNV name hash, so a
 //!   graph's networks live on exactly one shard with no cross-shard
-//!   locking on the query path.
+//!   locking on the query path. A shard frames request lines off its
+//!   sockets and hands each to the session's request intake.
 //! * [`stats`] — cql-stress-style sharded statistics: per-shard
 //!   [`sgl_observe::LogHistogram`] shards, combined on read, plus the
 //!   per-shard balance gauges `server_stats` reports.
 //! * [`session`] — the server core (shard spawning, routing, cross-shard
-//!   stats/drain composition) and in-process client ([`Session`]): the
-//!   full service without sockets, for tests and embedding.
+//!   stats/drain composition), the one request intake (parse → admit →
+//!   render) that TCP connections and in-process calls share, and the
+//!   in-process client ([`Session`]): the full service without sockets,
+//!   for tests and embedding.
 //! * [`trace`] — `sgl-trace`: request-scoped span capture across the
 //!   pipeline (`accept → parse → admit → queue_wait → cache_lookup →
 //!   compile → engine_run → serialize → write`), with sampling,

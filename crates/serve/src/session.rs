@@ -1,4 +1,4 @@
-//! The server core and its in-process client API.
+//! The server core, its request intake, and its in-process client API.
 //!
 //! [`Session`] owns the whole service as N **shards** (default: one per
 //! core), each a single-threaded event loop ([`crate::shard`]) owning
@@ -10,8 +10,15 @@
 //! takes no cross-shard locks. The TCP layer ([`crate::tcp`]) is a thin
 //! reactor-driven accept loop that hands sockets to shards round-robin;
 //! tests and the stress harness's in-process mode talk to [`Session`]
-//! directly, so the entire admission/caching/drain machinery is
-//! exercised without sockets.
+//! directly.
+//!
+//! Both transports share one intake: `parse_line` (JSON → envelope,
+//! or a typed `bad_request` line), `submit` (route, admit or reject,
+//! or run a control op), and `render` (response → line). A shard's
+//! connection handler is framing plus those three calls;
+//! [`Session::call_line`] is the same three calls plus a wait on the
+//! response slot, so the admission/caching/drain machinery is exercised
+//! identically with or without sockets.
 //!
 //! Request routing:
 //!
@@ -25,11 +32,11 @@
 //!   clients) JSON rendering — the pre-rendered bytes are spliced
 //!   verbatim via [`Json::Raw`].
 //! * **Control ops** (`load_graph`, `graph_stats`, `server_stats`,
-//!   `shutdown`) execute inline on the calling thread. `server_stats`
-//!   and `shutdown` **must** bypass the queues: they are exactly the
-//!   requests that have to keep working while the queues are full or
-//!   draining — an operator's view into an overloaded server, and the
-//!   way out of it.
+//!   `trace_dump`, `shutdown`) execute inline on the calling thread.
+//!   `server_stats` and `shutdown` **must** bypass the queues: they are
+//!   exactly the requests that have to keep working while the queues
+//!   are full or draining — an operator's view into an overloaded
+//!   server, and the way out of it.
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -227,21 +234,7 @@ impl Session {
     /// response.
     #[must_use]
     pub fn call(&self, envelope: Envelope) -> Response {
-        self.call_traced(envelope, None).0
-    }
-
-    /// [`Self::call`] carrying a span context through the pipeline. The
-    /// context (when some) comes back with the response so the caller can
-    /// record serialize/write spans before finishing it.
-    fn call_traced(
-        &self,
-        envelope: Envelope,
-        trace: Option<Box<TraceCtx>>,
-    ) -> (Response, Option<Box<TraceCtx>>) {
-        match envelope.request.kind() {
-            OpKind::Sssp | OpKind::Khop | OpKind::ApspRow => self.admit(envelope, trace),
-            _ => (self.execute_inline(&envelope.request), trace),
-        }
+        self.submit_and_wait(envelope, None).0
     }
 
     /// [`Self::call`] with a bare request (no id, no deadline).
@@ -252,11 +245,18 @@ impl Session {
 
     /// Full wire round trip: parses one JSON request line, executes it,
     /// and renders the response line (without trailing newline). Shard
-    /// connection handlers are this logic plus framing; any JSONL
-    /// transport built on [`Session`] gets byte-identical lines.
+    /// connection handlers run the same `parse_line` → `submit` →
+    /// `render` intake plus framing, so any JSONL transport built on
+    /// [`Session`] gets byte-identical lines.
     #[must_use]
     pub fn call_line(&self, line: &str) -> String {
-        let (out, trace) = self.call_line_traced(line, Instant::now());
+        let (envelope, trace) = match parse_line(&self.inner, line, Instant::now()) {
+            Ok(parsed) => parsed,
+            Err(bad_request) => return bad_request,
+        };
+        let (id, client_trace) = (envelope.id, envelope.trace_id);
+        let (response, mut trace) = self.submit_and_wait(envelope, trace);
+        let out = render(id, client_trace, &response, &mut trace);
         // No transport underneath: the trace (if any) ends here.
         if let Some(ctx) = trace {
             self.inner.tracing.finish(ctx);
@@ -264,70 +264,16 @@ impl Session {
         out
     }
 
-    /// [`Self::call_line`] for transports: `received_at` is when the full
-    /// request line came off the wire (the root span's start), and the
-    /// span context (for traced requests) is returned *unfinished* so the
-    /// transport can record its write span and then hand the context to
-    /// [`Self::finish_trace`]. Records `accept → parse → … → serialize`;
-    /// the response line echoes the `trace_id` of traced requests.
-    #[must_use]
-    pub fn call_line_traced(
+    /// `submit` from outside any shard, blocking on the response slot
+    /// when a shard answers.
+    fn submit_and_wait(
         &self,
-        line: &str,
-        received_at: Instant,
-    ) -> (String, Option<Box<TraceCtx>>) {
-        let parse_start = Instant::now();
-        let parsed = match parse_json(line) {
-            Ok(v) => v,
-            Err(e) => {
-                return (
-                    Response::error(ErrorKind::BadRequest, format!("invalid JSON: {e}"))
-                        .to_json(None)
-                        .to_string(),
-                    None,
-                )
-            }
-        };
-        match parse_request(&parsed) {
-            Ok(env) => {
-                let id = env.id;
-                let client_trace = env.trace_id;
-                let mut trace = self.inner.tracing.begin(client_trace, received_at);
-                if let Some(ctx) = trace.as_deref_mut() {
-                    let t1 = ctx.ns_at(parse_start);
-                    ctx.record(Stage::Accept, ctx.start_ns, t1);
-                    ctx.record(Stage::Parse, t1, ctx.now_ns());
-                }
-                let (response, mut trace) = self.call_traced(env, trace);
-                let ser_start = trace.as_deref().map(|c| c.now_ns());
-                // A client-supplied trace id is echoed even when tracing
-                // is off server-side; otherwise only traced requests
-                // carry one, so untraced lines stay byte-identical.
-                let echo = client_trace.or(trace.as_deref().map(|c| c.trace_id));
-                let out = response.to_json_traced(id, echo).to_string();
-                if let (Some(ctx), Some(s)) = (trace.as_deref_mut(), ser_start) {
-                    ctx.record(Stage::Serialize, s, ctx.now_ns());
-                }
-                (out, trace)
-            }
-            Err(msg) => {
-                // Echo the id even for malformed requests when present.
-                let id = parsed.get("id").and_then(Json::as_u64);
-                (
-                    Response::error(ErrorKind::BadRequest, msg)
-                        .to_json(id)
-                        .to_string(),
-                    None,
-                )
-            }
-        }
-    }
-
-    /// Completes a trace context returned by [`Self::call_line_traced`]
-    /// (after the transport recorded its final spans): the root span is
-    /// closed and the trace retained per the capture-mode rules.
-    pub fn finish_trace(&self, ctx: Box<TraceCtx>) {
-        self.inner.tracing.finish(ctx);
+        envelope: Envelope,
+        trace: Option<Box<TraceCtx>>,
+    ) -> (Response, Option<Box<TraceCtx>>) {
+        let slot = Arc::new(ResponseSlot::new());
+        let reply = ReplyTo::Slot(Arc::clone(&slot));
+        submit(&self.inner, None, envelope, trace, reply).unwrap_or_else(|| slot.wait())
     }
 
     /// The tracer (diagnostic/test hook; the `trace_dump` op and
@@ -430,79 +376,135 @@ impl Session {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-
-    fn admit(
-        &self,
-        envelope: Envelope,
-        mut trace: Option<Box<TraceCtx>>,
-    ) -> (Response, Option<Box<TraceCtx>>) {
-        let inner = &self.inner;
-        let target = inner.route(envelope.request.graph_name().unwrap_or(""));
-        let admit_start = Instant::now();
-        let deadline = envelope
-            .deadline_ms
-            .or(inner.config.default_deadline_ms)
-            .map(Duration::from_millis);
-        let slot = Arc::new(ResponseSlot::new());
-        let enqueued = Instant::now();
-        if let Some(ctx) = trace.as_deref_mut() {
-            // The admit span ends exactly where queue_wait begins (the
-            // shard measures its wait from the same `enqueued` instant),
-            // so the two spans tile without overlap.
-            ctx.record(Stage::Admit, ctx.ns_at(admit_start), ctx.ns_at(enqueued));
-        }
-        let job = Job {
-            envelope,
-            enqueued,
-            deadline,
-            reply: ReplyTo::Slot(Arc::clone(&slot)),
-            trace,
-        };
-        match inner.queues[target].try_push(job) {
-            Ok(()) => {
-                Counters::bump(&inner.counters.admitted);
-                inner.shard_io[target].waker.wake();
-                slot.wait()
-            }
-            Err(AdmissionError::Full(job)) => {
-                Counters::bump(&inner.counters.shed);
-                (
-                    Response::error(
-                        ErrorKind::Overloaded,
-                        format!(
-                            "admission queue full ({} waiting); retry later",
-                            inner.queues[target].capacity()
-                        ),
-                    ),
-                    job.trace,
-                )
-            }
-            Err(AdmissionError::Draining(job)) => {
-                Counters::bump(&inner.counters.rejected_draining);
-                (
-                    Response::error(ErrorKind::Draining, "server is draining"),
-                    job.trace,
-                )
-            }
-        }
-    }
-
-    fn execute_inline(&self, request: &Request) -> Response {
-        let inner = &self.inner;
-        let t0 = Instant::now();
-        let response = execute_control(inner, request);
-        let shard = inner.stats.overflow_shard();
-        inner.stats.with_shard(shard, |s| {
-            s.record(request.kind(), micros(t0.elapsed()), response.is_ok());
-        });
-        response
-    }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Request intake, step 1: one request line → [`Envelope`], starting the
+/// request's trace (if sampled) with its `accept` and `parse` spans;
+/// `received` is when the line came off the wire (the root span's
+/// start). A line that is not a request yields its rendered
+/// `bad_request` line instead, echoing the `id` when one was sent.
+pub(crate) fn parse_line(
+    inner: &ServerInner,
+    text: &str,
+    received: Instant,
+) -> Result<(Envelope, Option<Box<TraceCtx>>), String> {
+    let parse_start = Instant::now();
+    let bad_request = |id: Option<u64>, msg: String| {
+        Response::error(ErrorKind::BadRequest, msg)
+            .to_json(id)
+            .to_string()
+    };
+    let parsed = parse_json(text).map_err(|e| bad_request(None, format!("invalid JSON: {e}")))?;
+    let envelope = parse_request(&parsed)
+        .map_err(|msg| bad_request(parsed.get("id").and_then(Json::as_u64), msg))?;
+    let mut trace = inner.tracing.begin(envelope.trace_id, received);
+    if let Some(ctx) = trace.as_deref_mut() {
+        let t1 = ctx.ns_at(parse_start);
+        ctx.record(Stage::Accept, ctx.start_ns, t1);
+        ctx.record(Stage::Parse, t1, ctx.now_ns());
+    }
+    Ok((envelope, trace))
+}
+
+/// Request intake, step 2, for every transport. Query ops route to the
+/// graph's owner shard and are admitted onto its queue with `reply` as
+/// the answer's destination: `None` comes back, and that shard answers
+/// through `reply`. Everything else is answered here and returned with
+/// its trace: queue-full and draining rejections, and control ops,
+/// which execute inline (`server_stats` and `shutdown` must keep working
+/// while queues are full or draining) with their stats recorded on
+/// `from_shard` — the overflow stats shard for in-process callers.
+///
+/// `from_shard` is the calling shard, if any; a shard pushing onto its
+/// own queue does not wake itself (it executes its queue before it next
+/// polls).
+pub(crate) fn submit(
+    inner: &ServerInner,
+    from_shard: Option<usize>,
+    envelope: Envelope,
+    mut trace: Option<Box<TraceCtx>>,
+    reply: ReplyTo,
+) -> Option<(Response, Option<Box<TraceCtx>>)> {
+    let kind = envelope.request.kind();
+    if !matches!(kind, OpKind::Sssp | OpKind::Khop | OpKind::ApspRow) {
+        let t0 = Instant::now();
+        let response = execute_control(inner, &envelope.request);
+        let shard = from_shard.unwrap_or_else(|| inner.stats.overflow_shard());
+        inner.stats.with_shard(shard, |s| {
+            s.record(kind, micros(t0.elapsed()), response.is_ok());
+        });
+        return Some((response, trace));
+    }
+    let target = inner.route(envelope.request.graph_name().unwrap_or(""));
+    let admit_start = Instant::now();
+    let deadline = envelope
+        .deadline_ms
+        .or(inner.config.default_deadline_ms)
+        .map(Duration::from_millis);
+    let enqueued = Instant::now();
+    if let Some(ctx) = trace.as_deref_mut() {
+        // The admit span ends exactly where queue_wait begins (the
+        // shard measures its wait from the same `enqueued` instant), so
+        // the two spans tile without overlap.
+        ctx.record(Stage::Admit, ctx.ns_at(admit_start), ctx.ns_at(enqueued));
+    }
+    let job = Job {
+        envelope,
+        enqueued,
+        deadline,
+        reply,
+        trace,
+    };
+    let (response, job) = match inner.queues[target].try_push(job) {
+        Ok(()) => {
+            Counters::bump(&inner.counters.admitted);
+            if from_shard != Some(target) {
+                inner.shard_io[target].waker.wake();
+            }
+            return None;
+        }
+        Err(AdmissionError::Full(job)) => {
+            Counters::bump(&inner.counters.shed);
+            let msg = format!(
+                "admission queue full ({} waiting); retry later",
+                inner.queues[target].capacity()
+            );
+            (Response::error(ErrorKind::Overloaded, msg), job)
+        }
+        Err(AdmissionError::Draining(job)) => {
+            Counters::bump(&inner.counters.rejected_draining);
+            (
+                Response::error(ErrorKind::Draining, "server is draining"),
+                job,
+            )
+        }
+    };
+    Some((response, job.trace))
+}
+
+/// Request intake, step 3: renders a response line (no trailing
+/// newline) and records its `serialize` span. A client-supplied trace id
+/// is echoed even when tracing is off server-side; otherwise only traced
+/// requests carry one, so untraced lines stay byte-identical.
+pub(crate) fn render(
+    id: Option<u64>,
+    client_trace: Option<u64>,
+    response: &Response,
+    trace: &mut Option<Box<TraceCtx>>,
+) -> String {
+    let ser_start = trace.as_deref().map(|c| c.now_ns());
+    let echo = client_trace.or(trace.as_deref().map(|c| c.trace_id));
+    let out = response.to_json_traced(id, echo).to_string();
+    if let (Some(ctx), Some(s)) = (trace.as_deref_mut(), ser_start) {
+        ctx.record(Stage::Serialize, s, ctx.now_ns());
+    }
+    out
 }
 
 /// Looks a graph up in its owning partition or produces the typed miss.

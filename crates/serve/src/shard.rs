@@ -12,13 +12,15 @@
 //! 2. deliver reply lines mailed by other shards (pipelined responses
 //!    stay in request order via per-connection sequence numbers),
 //! 3. execute a batch of jobs from the shard's own admission queue
-//!    (deadline checked at pop, exactly as the old worker pool did),
+//!    (deadline checked at pop),
 //! 4. flush ready responses, closing finished connections,
 //! 5. exit if draining and every obligation is met,
 //! 6. block in [`crate::reactor::Poller::wait`] until a socket is ready
 //!    or a [`crate::reactor::Waker`] fires — an idle shard makes no
 //!    syscalls at all,
-//! 7. read readable sockets, parse complete lines, route them.
+//! 7. read readable sockets, frame complete lines, and pass each through
+//!    the request intake shared with [`crate::session::Session`]
+//!    (parse, then route/admit or run a control op, then render).
 //!
 //! A query line parsed on connection-owning shard A for a graph owned by
 //! shard B is pushed onto B's queue with a [`ReplyTo::Conn`] address; B
@@ -35,14 +37,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sgl_observe::trace::Stage;
-use sgl_observe::{parse_json, Json};
 use sgl_snn::engine::RunScratch;
 
-use crate::admission::{AdmissionError, Job, Lifecycle, Popped, ReplyTo};
-use crate::protocol::{parse_request, ErrorKind, OpKind, Response};
+use crate::admission::{Job, Lifecycle, ReplyTo};
+use crate::protocol::{ErrorKind, Response};
 use crate::reactor::{stream_fd, Event, Interest, Poller, Waker};
 use crate::ring::HandoffRing;
-use crate::session::{execute_control, execute_query, micros, ServerInner};
+use crate::session::{execute_query, micros, parse_line, render, submit, ServerInner};
 use crate::stats::Counters;
 use crate::trace::TraceCtx;
 
@@ -141,12 +142,12 @@ impl Conn {
         }
     }
 
-    fn push_ready(&mut self, line: String, trace: Option<Box<TraceCtx>>) {
+    fn push_ready(&mut self, line: String) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push_back(Pending {
             seq,
-            state: PendingState::Ready { line, trace },
+            state: PendingState::Ready { line, trace: None },
         });
     }
 }
@@ -186,12 +187,10 @@ pub(crate) fn shard_loop(inner: &Arc<ServerInner>, me: usize, mut poller: Poller
 
         // 3. Execute a batch from this shard's own queue.
         for _ in 0..EXEC_BATCH {
-            match inner.queues[me].try_pop() {
-                Popped::Job(job) => {
-                    execute_job(inner, me, job, &mut scratch, &mut conns, &mut dirty)
-                }
-                Popped::Empty | Popped::ShuttingDown => break,
-            }
+            let Some(job) = inner.queues[me].try_pop() else {
+                break;
+            };
+            execute_job(inner, me, job, &mut scratch, &mut conns, &mut dirty);
         }
 
         // 4. Flush ready responses on touched connections only, keep
@@ -337,24 +336,6 @@ fn deliver(
     }
 }
 
-/// Renders a response line on the executing shard: `serialize` span,
-/// trace-id echo (a client-supplied id echoes even when tracing is off
-/// server-side, so untraced lines stay byte-identical).
-fn serialize_line(
-    id: Option<u64>,
-    client_trace: Option<u64>,
-    response: &Response,
-    trace: &mut Option<Box<TraceCtx>>,
-) -> String {
-    let ser_start = trace.as_deref().map(|c| c.now_ns());
-    let echo = client_trace.or(trace.as_deref().map(|c| c.trace_id));
-    let out = response.to_json_traced(id, echo).to_string();
-    if let (Some(ctx), Some(s)) = (trace.as_deref_mut(), ser_start) {
-        ctx.record(Stage::Serialize, s, ctx.now_ns());
-    }
-    out
-}
-
 /// Pops one job's worth of work: queue-wait accounting, deadline check
 /// at pop, execution, and reply delivery (slot fill for in-process
 /// callers; serialize-and-mail for TCP requests).
@@ -412,7 +393,7 @@ fn execute_job(
         ReplyTo::Slot(slot) => slot.fill(response, job.trace),
         ReplyTo::Conn { shard, conn, seq } => {
             let mut trace = job.trace;
-            let line = serialize_line(
+            let line = render(
                 job.envelope.id,
                 job.envelope.trace_id,
                 &response,
@@ -521,8 +502,9 @@ fn read_conn(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn, chun
                 return;
             }
             Ok(n) => {
+                let fresh = conn.rbuf.len();
                 conn.rbuf.extend_from_slice(&chunk[..n]);
-                process_lines(inner, me, id, conn);
+                process_lines(inner, me, id, conn, fresh);
                 if conn.dead || conn.eof {
                     return;
                 }
@@ -542,13 +524,19 @@ fn read_conn(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn, chun
     }
 }
 
-fn process_lines(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn) {
+/// Handles every complete line in the read buffer. The bytes before
+/// `fresh` (this read's first byte) hold no newline — earlier reads left
+/// only a partial line — so the scan starts there and a long line costs
+/// one pass in total, not one pass per read.
+fn process_lines(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn, fresh: usize) {
     let mut buf = std::mem::take(&mut conn.rbuf);
     let mut start = 0;
-    while let Some(rel) = buf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + rel;
+    let mut scan = fresh;
+    while let Some(rel) = buf[scan..].iter().position(|&b| b == b'\n') {
+        let end = scan + rel;
         handle_line(inner, me, id, conn, &buf[start..end]);
         start = end + 1;
+        scan = start;
         if conn.dead {
             break;
         }
@@ -564,17 +552,17 @@ fn process_lines(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn) 
         )
         .to_json(None)
         .to_string();
-        conn.push_ready(line, None);
+        conn.push_ready(line);
         conn.rbuf.clear();
         conn.eof = true; // Stop reading; close once the rejection flushes.
     }
 }
 
-/// One complete request line off the wire: parse, trace, route. Query
-/// ops go to the graph's owner shard's queue; control ops execute inline
-/// on this shard (`server_stats` and `shutdown` must keep working while
-/// queues are full or draining). Every outcome lands exactly one entry
-/// in the connection's pipelined-response queue.
+/// One complete request line off the wire, through the shared intake
+/// (`parse_line` → `submit` → `render`). Every non-blank line lands
+/// exactly one entry in the connection's pipelined-response queue:
+/// `Ready` when answered here (bad request, rejection, control op),
+/// `Waiting` when a shard's queue admitted it and will mail the line.
 fn handle_line(inner: &Arc<ServerInner>, me: usize, conn_id: u64, conn: &mut Conn, raw: &[u8]) {
     let received = Instant::now();
     let text = String::from_utf8_lossy(raw);
@@ -582,117 +570,157 @@ fn handle_line(inner: &Arc<ServerInner>, me: usize, conn_id: u64, conn: &mut Con
     if trimmed.is_empty() {
         return;
     }
-    let parse_start = Instant::now();
-    let parsed = match parse_json(trimmed) {
-        Ok(v) => v,
-        Err(e) => {
-            let line = Response::error(ErrorKind::BadRequest, format!("invalid JSON: {e}"))
-                .to_json(None)
-                .to_string();
-            conn.push_ready(line, None);
-            return;
-        }
-    };
-    let env = match parse_request(&parsed) {
-        Ok(env) => env,
-        Err(msg) => {
-            // Echo the id even for malformed requests when present.
-            let id = parsed.get("id").and_then(Json::as_u64);
-            let line = Response::error(ErrorKind::BadRequest, msg)
-                .to_json(id)
-                .to_string();
-            conn.push_ready(line, None);
-            return;
-        }
-    };
-    let client_trace = env.trace_id;
-    let mut trace = inner.tracing.begin(client_trace, received);
-    if let Some(ctx) = trace.as_deref_mut() {
-        let t1 = ctx.ns_at(parse_start);
-        ctx.record(Stage::Accept, ctx.start_ns, t1);
-        ctx.record(Stage::Parse, t1, ctx.now_ns());
-    }
-    match env.request.kind() {
-        OpKind::Sssp | OpKind::Khop | OpKind::ApspRow => {
-            let target = inner.route(env.request.graph_name().unwrap_or(""));
-            let admit_start = Instant::now();
-            let deadline = env
-                .deadline_ms
-                .or(inner.config.default_deadline_ms)
-                .map(Duration::from_millis);
-            let enqueued = Instant::now();
-            if let Some(ctx) = trace.as_deref_mut() {
-                // The admit span ends exactly where queue_wait begins.
-                ctx.record(Stage::Admit, ctx.ns_at(admit_start), ctx.ns_at(enqueued));
-            }
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            let job = Job {
-                envelope: env,
-                enqueued,
-                deadline,
-                reply: ReplyTo::Conn {
-                    shard: me,
-                    conn: conn_id,
-                    seq,
-                },
-                trace,
+    let seq = conn.next_seq;
+    conn.next_seq += 1;
+    let state = match parse_line(inner, trimmed, received) {
+        Err(line) => PendingState::Ready { line, trace: None },
+        Ok((envelope, trace)) => {
+            let (id, client_trace) = (envelope.id, envelope.trace_id);
+            let reply = ReplyTo::Conn {
+                shard: me,
+                conn: conn_id,
+                seq,
             };
-            match inner.queues[target].try_push(job) {
-                Ok(()) => {
-                    Counters::bump(&inner.counters.admitted);
-                    conn.pending.push_back(Pending {
-                        seq,
-                        state: PendingState::Waiting,
-                    });
-                    if target != me {
-                        inner.shard_io[target].waker.wake();
-                    }
-                }
-                Err(AdmissionError::Full(job)) => {
-                    Counters::bump(&inner.counters.shed);
-                    let response = Response::error(
-                        ErrorKind::Overloaded,
-                        format!(
-                            "admission queue full ({} waiting); retry later",
-                            inner.queues[target].capacity()
-                        ),
-                    );
-                    reject(conn, seq, job, &response);
-                }
-                Err(AdmissionError::Draining(job)) => {
-                    Counters::bump(&inner.counters.rejected_draining);
-                    let response = Response::error(ErrorKind::Draining, "server is draining");
-                    reject(conn, seq, job, &response);
-                }
+            match submit(inner, Some(me), envelope, trace, reply) {
+                None => PendingState::Waiting,
+                Some((response, mut trace)) => PendingState::Ready {
+                    line: render(id, client_trace, &response, &mut trace),
+                    trace,
+                },
             }
         }
-        kind => {
-            let t0 = Instant::now();
-            let response = execute_control(inner, &env.request);
-            inner.stats.with_shard(me, |s| {
-                s.record(kind, micros(t0.elapsed()), response.is_ok());
-            });
-            let line = serialize_line(env.id, client_trace, &response, &mut trace);
-            conn.pending.push_back(Pending {
-                seq: {
-                    let s = conn.next_seq;
-                    conn.next_seq += 1;
-                    s
-                },
-                state: PendingState::Ready { line, trace },
-            });
-        }
-    }
+    };
+    conn.pending.push_back(Pending { seq, state });
 }
 
-/// A typed admission rejection, serialized immediately into the slot the
-/// request already claimed in the pipeline order.
-fn reject(conn: &mut Conn, seq: u64, job: Job, response: &Response) {
-    let mut trace = job.trace;
-    let line = serialize_line(job.envelope.id, job.envelope.trace_id, response, &mut trace);
-    conn.pending.push_back(Pending {
-        seq,
-        state: PendingState::Ready { line, trace },
-    });
+#[cfg(test)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    use proptest::prelude::*;
+    use sgl_observe::{parse_json, Json};
+
+    use super::MAX_LINE_BYTES;
+    use crate::protocol::Request;
+    use crate::session::{ServerConfig, Session};
+    use crate::tcp::LoopbackServer;
+
+    /// Loads graph `g` and warms the memo entries the test lines query,
+    /// so every answer below is the same however often it is asked.
+    fn load_and_warm(session: &Session) {
+        let resp = session.call_request(Request::LoadGraph {
+            name: "g".into(),
+            dimacs: "p sp 4 5\na 1 2 3\na 2 3 4\na 3 4 5\na 1 3 10\na 2 4 20\n".into(),
+        });
+        assert!(resp.is_ok(), "{resp:?}");
+        for id in 0..4 {
+            let _ = session.call_line(&line_text(0, id));
+            let _ = session.call_line(&line_text(1, id));
+        }
+    }
+
+    fn line_text(kind: u8, id: usize) -> String {
+        String::from_utf8_lossy(&line_bytes(kind, id)).into_owned()
+    }
+
+    /// One request line (without its ending) of a shape picked by `kind`:
+    /// memo-hit queries, control ops, typed errors, invalid UTF-8, blank.
+    fn line_bytes(kind: u8, id: usize) -> Vec<u8> {
+        let source = id % 4;
+        match kind {
+            0 => format!(r#"{{"op":"sssp","graph":"g","source":{source},"id":{id}}}"#).into_bytes(),
+            1 => format!(r#"{{"op":"khop","graph":"g","source":{source},"k":2,"id":{id}}}"#)
+                .into_bytes(),
+            2 => format!(r#"{{"op":"graph_stats","graph":"g","id":{id}}}"#).into_bytes(),
+            3 => format!(r#"{{"op":"sssp","graph":"nope","source":0,"id":{id}}}"#).into_bytes(),
+            4 => format!(r#"{{"op":"warp","id":{id}}}"#).into_bytes(),
+            5 => b"{{{not json".to_vec(),
+            6 => [
+                &br#"{"op":"graph_stats","graph":"g"#[..],
+                b"\xff\xfe",
+                format!(r#"","id":{id}}}"#).as_bytes(),
+            ]
+            .concat(),
+            7 => b"\xc3\x28 \xff".to_vec(),
+            8 => Vec::new(),
+            _ => b" \t ".to_vec(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Pipelined lines written in pieces split at arbitrary byte
+        /// offsets are framed exactly: each non-blank line gets the
+        /// response `Session::call_line` gives its lossily decoded,
+        /// trimmed text, in request order; blank lines get none.
+        #[test]
+        fn split_pipelined_lines_answer_like_call_line_in_order(
+            lines in proptest::collection::vec((0u8..10, proptest::bool::ANY), 1..24),
+            cuts in proptest::collection::vec(0usize..1000, 0..8),
+        ) {
+            let server = LoopbackServer::start(ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            });
+            load_and_warm(server.session());
+            let mut wire = Vec::new();
+            let mut want = Vec::new();
+            for (id, &(kind, crlf)) in lines.iter().enumerate() {
+                let line = line_bytes(kind, id);
+                let text = String::from_utf8_lossy(&line);
+                if !text.trim().is_empty() {
+                    want.push(server.session().call_line(text.trim()));
+                }
+                wire.extend_from_slice(&line);
+                wire.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+            }
+            let mut ends: Vec<usize> = cuts.iter().map(|c| c * wire.len() / 1000).collect();
+            ends.push(wire.len());
+            ends.sort_unstable();
+
+            let mut stream = TcpStream::connect(server.addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut start = 0;
+            for end in ends {
+                stream.write_all(&wire[start..end]).unwrap();
+                start = end;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Half-close: the shard answers everything, then closes.
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut got = String::new();
+            stream.read_to_string(&mut got).unwrap();
+            let got: Vec<String> = got.lines().map(str::to_owned).collect();
+            prop_assert_eq!(got, want);
+            server.stop();
+        }
+    }
+
+    /// A line longer than `MAX_LINE_BYTES` cannot be framed: it gets one
+    /// `bad_request` line and the connection is closed.
+    #[test]
+    fn oversized_line_is_rejected_and_closed() {
+        let server = LoopbackServer::start(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        });
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        // One byte over the cap: the shard reads every byte before it
+        // rejects, so nothing is left unread when it closes.
+        stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let mut got = String::new();
+        stream.read_to_string(&mut got).unwrap();
+        assert_eq!(got.lines().count(), 1, "{got}");
+        let v = parse_json(got.trim_end()).unwrap();
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("bad_request")
+        );
+        server.stop();
+    }
 }

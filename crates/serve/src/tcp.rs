@@ -307,6 +307,45 @@ mod tests {
         server.stop();
     }
 
+    fn error_kind(v: &Json) -> Option<&str> {
+        v.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+    }
+
+    /// A request nested 100,000 levels deep (about 100 KB) used to
+    /// overflow the shard's stack and abort the process. It is a typed
+    /// `bad_request`, and the same connection keeps serving.
+    #[test]
+    fn deeply_nested_json_is_a_bad_request() {
+        let server = LoopbackServer::start(ServerConfig::default());
+        let (mut stream, mut reader) = connect(server.addr);
+        let v = send(&mut stream, &mut reader, &"[".repeat(100_000));
+        assert_eq!(error_kind(&v), Some("bad_request"));
+        let v = send(&mut stream, &mut reader, r#"{"op":"server_stats"}"#);
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
+        server.stop();
+    }
+
+    /// A DIMACS node count past the `u32` id space used to panic the
+    /// shard that loaded it. It is a typed `bad_request`, and the server
+    /// keeps serving and then drains cleanly.
+    #[test]
+    fn dimacs_node_count_past_u32_is_a_bad_request() {
+        let server = LoopbackServer::start(ServerConfig::default());
+        let (mut stream, mut reader) = connect(server.addr);
+        let v = send(
+            &mut stream,
+            &mut reader,
+            r#"{"op":"load_graph","name":"g","dimacs":"p sp 5000000000 0\n","id":4}"#,
+        );
+        assert_eq!(error_kind(&v), Some("bad_request"));
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(4));
+        let v = send(&mut stream, &mut reader, r#"{"op":"server_stats"}"#);
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
+        server.stop();
+    }
+
     #[test]
     fn shutdown_over_the_wire_drains_and_disconnects() {
         let server = LoopbackServer::start(ServerConfig::default());

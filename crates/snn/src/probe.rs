@@ -6,8 +6,8 @@
 //! recording the *voltage* of selected neurons at every step — the `v(t)`
 //! series of Eq. (1)–(3), including the reset after each spike.
 
-use crate::engine::wheel::TimeWheel;
-use crate::network::{CsrTopology, Network};
+use crate::engine::Stepper;
+use crate::network::Network;
 use crate::types::{NeuronId, Time};
 
 /// A recorded voltage trace: `trace[t]` is `v(t)` for `t = 0..=steps`.
@@ -33,10 +33,11 @@ impl VoltageTrace {
 /// recording voltage traces for `probes`. Initial spikes are induced at
 /// `t = 0` as usual.
 ///
-/// Pending deliveries go through the same [`TimeWheel`] the engines use,
-/// in the same (sorted firing id) × (CSR synapse order) scheduling order —
-/// so per-target floating-point sums, and therefore the recorded voltages
-/// and spike times, match the engines bit for bit.
+/// The run is a [`Stepper`], which schedules deliveries through the same
+/// time wheel the engines use, in the same (sorted firing id) × (CSR
+/// synapse order) order — so per-target floating-point sums, and
+/// therefore the recorded voltages and spike times, match the engines
+/// bit for bit.
 ///
 /// # Panics
 /// Panics if a probe or initial neuron is out of range.
@@ -47,80 +48,29 @@ pub fn record_traces(
     probes: &[NeuronId],
     steps: Time,
 ) -> Vec<VoltageTrace> {
-    let n = net.neuron_count();
-    for &p in probes.iter().chain(initial_spikes) {
-        assert!(p.index() < n, "neuron {p} out of range");
+    for &p in probes {
+        assert!(p.index() < net.neuron_count(), "neuron {p} out of range");
     }
-    let csr = net.csr();
-    let params = net.params_slice();
-    let mut voltages: Vec<f64> = params.iter().map(|p| p.v_reset).collect();
-    let mut wheel = TimeWheel::new(net.max_delay());
-    let mut batch: Vec<(NeuronId, f64)> = Vec::new();
+    let mut stepper = Stepper::new(net, initial_spikes);
     let mut traces: Vec<VoltageTrace> = probes
         .iter()
         .map(|&p| VoltageTrace {
             neuron: p,
-            voltages: vec![voltages[p.index()]],
+            voltages: Vec::new(),
             spikes: Vec::new(),
         })
         .collect();
-
-    // t = 0 spikes.
-    let mut fired: Vec<NeuronId> = initial_spikes.to_vec();
-    fired.sort_unstable();
-    fired.dedup();
-    for tr in &mut traces {
-        if fired.contains(&tr.neuron) {
-            tr.spikes.push(0);
-        }
-    }
-    route(csr, &fired, 0, &mut wheel);
-
-    let mut syn = vec![0.0f64; n];
-    let mut touched: Vec<usize> = Vec::new();
-    for t in 1..=steps {
-        batch.clear();
-        wheel.drain_at(t, &mut batch);
-        for &(id, w) in &batch {
-            let i = id.index();
-            if syn[i] == 0.0 {
-                touched.push(i);
-            }
-            syn[i] += w;
-        }
-        fired.clear();
-        for (i, p) in params.iter().enumerate() {
-            let v = voltages[i];
-            let v_hat = v - (v - p.v_reset) * p.decay + syn[i];
-            if v_hat > p.v_threshold {
-                fired.push(NeuronId(i as u32));
-                voltages[i] = p.v_reset;
-            } else {
-                voltages[i] = v_hat;
-            }
-        }
-        for &i in &touched {
-            syn[i] = 0.0;
-        }
-        touched.clear();
-        route(csr, &fired, t, &mut wheel);
+    loop {
         for tr in &mut traces {
-            tr.voltages.push(voltages[tr.neuron.index()]);
-            if fired.contains(&tr.neuron) {
-                tr.spikes.push(t);
+            tr.voltages.push(stepper.voltage(tr.neuron));
+            if stepper.fired().contains(&tr.neuron) {
+                tr.spikes.push(stepper.now());
             }
         }
-    }
-    traces
-}
-
-/// Schedules fan-out exactly like the engines' `route_spikes` (without the
-/// stats recorder): sorted firing ids × CSR synapse order.
-fn route(csr: &CsrTopology, fired: &[NeuronId], t: Time, wheel: &mut TimeWheel) {
-    for &id in fired {
-        for s in csr.out(id.index()) {
-            wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
+        if stepper.now() == steps {
+            return traces;
         }
+        stepper.step();
     }
 }
 
