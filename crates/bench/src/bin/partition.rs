@@ -10,10 +10,10 @@
 //! partitioned result is asserted bit-identical to the event run before
 //! any timing.
 //!
-//! The threaded BSP driver is swept on top: `p{2,4,8}` partitions at
-//! `t{1,2,4}` worker threads, every combination asserted bit-identical
-//! to the event run before timing, with per-worker balance (imbalance
-//! ratio, max barrier wait) read back through
+//! The superstep loop's thread count is swept on top: `p{2,4,8}`
+//! partitions at `t{1,2,4}` worker threads, every combination asserted
+//! bit-identical to the event run before timing, with per-worker balance
+//! (imbalance ratio, max barrier wait) read back through
 //! [`PartitionPlan::run_with_stats_threaded`].
 //!
 //! Emits `SGL_BENCH_JSON` lines (`group: "partition"`, ids `event/<n>`,
@@ -22,7 +22,8 @@
 //! `event/<n>` (the partition machinery at one partition is bookkeeping
 //! only), each doubling of the partition count at most 2x the previous
 //! rung (cut overhead grows smoothly, it does not cliff), `p<K>t1`
-//! within 5% of `p<K>` (threads = 1 delegates to the sequential driver),
+//! within 5% of `p<K>` (both run the one superstep loop with one inline
+//! worker, so only dispatch may separate them),
 //! and — on a multi-core runner at n >= 10^5 — `p<K>t<T>` no slower
 //! than `p<K>t1` (the worker pool helps or stays out of the way). The
 //! cut-traffic and worker-balance tables land in `BENCH_partition.json`.
@@ -38,8 +39,8 @@ use sgl_snn::partition::{PartitionPlan, PartitionedEngine};
 use sgl_snn::{Network, NeuronId};
 
 const PART_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Worker-thread counts for the threaded-driver sweep (t1 delegates to
-/// the sequential driver and anchors the speedup column).
+/// Worker-thread counts for the threaded sweep (t1 runs the superstep
+/// loop inline, with no pool, and anchors the speedup column).
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const SEED: u64 = 2021;
 
@@ -198,7 +199,7 @@ fn main() {
         let mut trows: Vec<Vec<String>> = Vec::new();
         for (plan, &parts) in plans.iter().zip(&PART_COUNTS) {
             if parts == 1 {
-                continue; // single partition sheds to the sequential path
+                continue; // a single partition always runs inline
             }
             let mut t1_median = Duration::ZERO;
             for &threads in &THREAD_COUNTS {

@@ -24,14 +24,14 @@
 //! cut is empty, so the partition machinery may cost bookkeeping only),
 //! and each doubling of the partition count may at most double the
 //! median (`p2 <= 2*p1`, `p4 <= 2*p2`, `p8 <= 2*p4` — cut overhead must
-//! grow smoothly with the cut, not cliff). The threaded BSP driver adds
-//! two more: `p<K>t1/<n>` must stay within 5% of the sequential
-//! `p<K>/<n>` (threads = 1 delegates to the sequential driver, so only
-//! dispatch may separate them), and on a multi-core runner `p<K>t<T>/<n>`
-//! at n >= 10^5 must not be slower than `p<K>t1/<n>` — the worker pool
-//! either speeds the run up or stays out of the way. The multi-thread
-//! rule is gated on this process's `available_parallelism()`: a
-//! single-core runner serialises the workers, so barrier overhead
+//! grow smoothly with the cut, not cliff). The threaded sweep adds two
+//! more: `p<K>t1/<n>` must stay within 5% of `p<K>/<n>` (both run the
+//! one superstep loop with one inline worker — no pool, no barrier — so
+//! only dispatch may separate them), and on a multi-core runner
+//! `p<K>t<T>/<n>` at n >= 10^5 must not be slower than `p<K>t1/<n>` —
+//! the worker pool either speeds the run up or stays out of the way. The
+//! multi-thread rule is gated on this process's `available_parallelism()`:
+//! a single-core runner serialises the workers, so barrier overhead
 //! without speedup is expected there, not a regression.
 //!
 //! One rule is absolute against a frozen constant:
@@ -265,9 +265,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Threaded-driver rules, per `partition/p<K>t<T>/<n>` row.
-    // (a) `t1` delegates to the sequential driver (no pool, no barrier),
-    //     so `p<K>t1` must stay within [`ORDER_EPSILON`] of `p<K>`.
+    // Threaded-sweep rules, per `partition/p<K>t<T>/<n>` row.
+    // (a) `t1` runs the superstep loop inline (no pool, no barrier), as
+    //     `p<K>` does, so `p<K>t1` must stay within [`ORDER_EPSILON`] of
+    //     `p<K>`.
     // (b) On a multi-core runner, more threads must not lose to one
     //     thread at n >= 10^5 — real work per superstep is then large
     //     enough that barrier costs amortise, so a loss means the pool
@@ -284,7 +285,7 @@ fn main() -> ExitCode {
             continue;
         };
         let Some((parts, threads)) = combo.split_once('t') else {
-            continue; // sequential `p<K>` row, covered above
+            continue; // plain `p<K>` row, covered above
         };
         let (Ok(threads), Ok(size)) = (threads.parse::<u64>(), n.parse::<u64>()) else {
             continue;

@@ -8,7 +8,7 @@
 //!   idea of Ramos & Bohórquez's depth-2 adder; we spend one extra layer to
 //!   keep all weights on synapses rather than in gate internals).
 //! * [`build_ripple_adder`] — depth `λ + 2`, `O(λ)` neurons, weights ≤ 2:
-//!   the paper's "chain [of] constant-depth parity circuits ... and
+//!   the paper's "chain \[of\] constant-depth parity circuits ... and
 //!   threshold gates for the carry bit" (§4.1), trading depth for small
 //!   weights.
 //!

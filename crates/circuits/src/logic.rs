@@ -5,7 +5,7 @@
 //! latest input; the `at` variants let callers align gates to a specific
 //! layer by stretching input delays, which is how the paper keeps
 //! multi-layer circuits in lockstep ("signals ... are delayed to ensure
-//! that [gates] are in sync", proof of Theorem 5.1).
+//! that \[gates\] are in sync", proof of Theorem 5.1).
 
 use crate::builder::CircuitBuilder;
 use sgl_snn::NeuronId;

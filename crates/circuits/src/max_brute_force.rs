@@ -33,7 +33,7 @@ pub fn build_max(d: usize, lambda: usize) -> MaxCircuit {
 }
 
 /// Minimum variant: per §5, "we can compute min instead of max by negating
-/// the weights of the incoming synapses of the [comparison] circuits" —
+/// the weights of the incoming synapses of the \[comparison\] circuits" —
 /// i.e. each pairwise test becomes `b_x <= b_y`.
 #[must_use]
 pub fn build_min(d: usize, lambda: usize) -> MaxCircuit {

@@ -372,6 +372,11 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone also takes a sign (`\u+041`).
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("invalid \\u escape"));
+                            }
                             let hex = std::str::from_utf8(hex)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
@@ -518,6 +523,22 @@ mod tests {
     }
 
     #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::Str("Aé".into()));
+        // `u32::from_str_radix("+041", 16)` is `Ok(65)`: the sign must
+        // not slip through as a digit.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00G1""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
@@ -540,5 +561,86 @@ mod tests {
         assert_eq!(Json::Int(-5).as_u64(), None);
         assert_eq!(Json::Num(4.0).as_u64(), Some(4));
         assert_eq!(Json::Num(4.5).as_u64(), None);
+    }
+
+    /// The JSON token alphabet the fuzz strings are built from: structure,
+    /// escapes (including `\u` with and without hex digits), number
+    /// pieces, literals, and a few whole values so some inputs parse.
+    const TOKENS: &[&str] = &[
+        "[",
+        "]",
+        "{",
+        "}",
+        ",",
+        ":",
+        "\"",
+        " ",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\t",
+        "\\b",
+        "\\u",
+        "\\u0041",
+        "\\u00e9",
+        "\\ud800",
+        "\\u+041",
+        "\\u12",
+        "\\x",
+        "0",
+        "1",
+        "9",
+        "-",
+        ".",
+        "e",
+        "E",
+        "+",
+        "true",
+        "false",
+        "null",
+        "tru",
+        "a",
+        "é",
+        "\u{1}",
+        "[1,2]",
+        "{\"k\":1}",
+        "\"s\"",
+        "-1.5e3",
+        "1e400",
+        "18446744073709551616",
+    ];
+
+    /// `parse` must never panic, and whatever it accepts must render to a
+    /// fixed point: the rendering parses, and re-renders identically.
+    fn check(input: &str) -> Result<(), String> {
+        if let Ok(v) = parse(input) {
+            let text = v.to_string();
+            let again = parse(&text)
+                .map_err(|e| format!("{input:?} renders as {text:?}, which fails: {e}"))?;
+            proptest::prop_assert_eq!(again.to_string(), text, "input {:?}", input);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_is_total_and_renders_to_a_fixed_point(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            picks in proptest::collection::vec(0usize..TOKENS.len(), 0..40),
+            depth in 120usize..136,
+        ) {
+            check(&String::from_utf8_lossy(&bytes))?;
+            let tokens: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            check(&tokens)?;
+            // Nesting near the 128-level cap, around the token string
+            // and around a value that always parses.
+            for inner in [tokens.as_str(), "0"] {
+                check(&format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth)))?;
+                check(&format!("{}{inner}{}", "{\"k\":".repeat(depth), "}".repeat(depth)))?;
+            }
+        }
     }
 }

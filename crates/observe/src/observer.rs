@@ -80,7 +80,7 @@ pub trait RunObserver {
     /// `busy_ns` spent in its compute and merge phases, `wait_ns` blocked
     /// at the superstep barriers since its previous report. Called once
     /// per worker per superstep, only when [`Self::ENABLED`] and only by
-    /// the threaded driver (the sequential driver has no workers).
+    /// a worker pool (a one-worker run reports none).
     #[inline]
     fn on_worker_superstep(&mut self, t: u64, worker: u32, busy_ns: u64, wait_ns: u64) {
         let _ = (t, worker, busy_ns, wait_ns);

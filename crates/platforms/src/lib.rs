@@ -6,13 +6,12 @@
 //! argument rests on — neuromorphic hardware consumes energy per *spike
 //! event* (the pJ/spike column), while a CPU burns its TDP continuously.
 //!
-//! Spike counts come from the `sgl-snn` engines' [`spike_events`] counter;
+//! Spike counts come from the `sgl-snn` engines' `spike_events` counter
+//! (`SimStats::spike_events`; this crate has no dependency on the
+//! simulator — it consumes plain counts);
 //! conventional operation counts from the instrumented baselines in
 //! `sgl-graph`. Combining the two with this module's constants regenerates
 //! the Table 3 comparison and powers the `table3` bench binary.
-//!
-//! [`spike_events`]: sgl_snn::SimStats (conceptually; this crate has no
-//! dependency on the simulator — it consumes plain counts)
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -148,7 +148,7 @@ impl_tuple_strategy!(A, B, C, D, E, G);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Sizes accepted by [`vec`]: a fixed length or a length range.
+    /// Sizes accepted by [`vec()`]: a fixed length or a length range.
     pub trait IntoSizeRange {
         /// Samples a concrete length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -178,7 +178,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S, R> {
         element: S,

@@ -233,7 +233,7 @@ impl GraphHandle {
             .map(|r| Arc::clone(&r.rendered))
     }
 
-    /// Memoizes an answer. Past [`RESULT_CACHE_CAP`] entries the store is
+    /// Memoizes an answer. Past `RESULT_CACHE_CAP` entries the store is
     /// a no-op — correctness never depends on an insert landing.
     ///
     /// # Panics

@@ -636,7 +636,7 @@ fn render_pool(config: &ConnStressConfig) -> Vec<(OpKind, Vec<u8>)> {
 /// [`run_stress`], which spends a whole thread (and scheduler slot) per
 /// connection and cannot reach reactor-scale counts.
 ///
-/// Request lines are pre-rendered ([`REQUEST_POOL`] of them, cycled) so the
+/// Request lines are pre-rendered (`REQUEST_POOL` of them, cycled) so the
 /// steady-state client cost per op is a buffer copy, a `poll` share, and a
 /// substring scan of the response line.
 ///

@@ -5,7 +5,7 @@
 //! makes **no syscalls at all**: the loop runs only when `poll` reports
 //! a pending connection or a [`crate::reactor::Waker`] fires (drain).
 //! Accepted sockets are handed to the shard event loops round-robin via
-//! [`Session::hand_off`]; from then on the owning shard does all reads,
+//! the session's `hand_off`; from then on the owning shard does all reads,
 //! parsing, and writes ([`crate::shard`]). During drain, in-flight
 //! requests finish (the session answers them — admitted work is always
 //! answered) and idle connections are closed by their shards.

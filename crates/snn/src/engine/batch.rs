@@ -175,9 +175,9 @@ pub enum EngineChoice {
     /// Pick per network: [`DenseEngine`] when the network has spontaneous
     /// neurons (the event engine rejects them; the reference engine is
     /// the conservative choice), [`BitplaneEngine`] when the topology is
-    /// dense in space — `m >= n² /` [`DENSE_CROSSOVER_INV`], a measured
-    /// crossover — *and* in time (`max_delay <=` [`DENSE_MAX_DELAY`]),
-    /// so a word-parallel frontier sweep beats touched-set bookkeeping;
+    /// dense in space — `m >= n² / DENSE_CROSSOVER_INV`, a measured
+    /// crossover — *and* in time (`max_delay <= DENSE_MAX_DELAY`), so a
+    /// word-parallel frontier sweep beats touched-set bookkeeping;
     /// [`EventEngine`] otherwise — the right default for the sparse,
     /// delay-encoded graph circuits the paper builds.
     #[default]
@@ -201,7 +201,7 @@ pub enum EngineChoice {
     Partitioned {
         /// Number of partitions to compile and drive.
         parts: usize,
-        /// Worker threads for the superstep driver (1 = sequential).
+        /// Worker threads for the superstep loop (1 = inline, no pool).
         threads: usize,
     },
 }
@@ -391,9 +391,11 @@ impl<N: Borrow<Network>> Prepared<N> {
             Resolved::Parallel(engine) => {
                 engine.run_core(net, initial_spikes, config, scratch, obs)
             }
-            Resolved::Partitioned { plan, threads } => plan
-                .run_core(initial_spikes, config, *threads, obs)
-                .map(|(result, _)| result),
+            Resolved::Partitioned { plan, threads } => {
+                return plan
+                    .run_observed_threaded(initial_spikes, config, *threads, obs)
+                    .map(|(result, _)| result);
+            }
         }?;
         obs.on_finish(
             result.steps,

@@ -27,9 +27,7 @@ use std::collections::BTreeMap;
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats, StepRecord};
 
 use super::batch::RunScratch;
-use super::{
-    check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopCondition, StopReason,
-};
+use super::{check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopReason};
 use crate::error::SnnError;
 use crate::network::{BitplaneTopology, Network};
 use crate::types::{NeuronId, Time};
@@ -301,12 +299,7 @@ impl BitplaneEngine {
         if O::ENABLED {
             obs.on_scheduler(0, fr.observe());
         }
-        if stop_hit
-            && !matches!(
-                config.stop,
-                StopCondition::MaxSteps | StopCondition::Quiescent
-            )
-        {
+        if stop_hit {
             return rec.finish(0, StopReason::ConditionMet, config);
         }
         let spontaneous = params.iter().any(|p| !p.is_input_driven());
@@ -374,12 +367,7 @@ impl BitplaneEngine {
                 obs.on_scheduler(t, fr.observe());
             }
 
-            if stop_hit
-                && !matches!(
-                    config.stop,
-                    StopCondition::MaxSteps | StopCondition::Quiescent
-                )
-            {
+            if stop_hit {
                 return rec.finish(t, StopReason::ConditionMet, config);
             }
             if fr.pending == 0 && !armed {

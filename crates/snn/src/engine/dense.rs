@@ -4,9 +4,7 @@ use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::wheel::TimeWheel;
-use super::{
-    check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopCondition, StopReason,
-};
+use super::{check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopReason};
 use crate::error::SnnError;
 use crate::network::{CsrTopology, Network};
 use crate::types::{NeuronId, Time};
@@ -90,12 +88,7 @@ impl DenseEngine {
         if O::ENABLED {
             obs.on_scheduler(0, wheel.observe());
         }
-        if stop_hit
-            && !matches!(
-                config.stop,
-                StopCondition::MaxSteps | StopCondition::Quiescent
-            )
-        {
+        if stop_hit {
             return rec.finish(0, StopReason::ConditionMet, config);
         }
         // A neuron is "armed" if it would fire next step with zero synaptic
@@ -157,12 +150,7 @@ impl DenseEngine {
                 obs.on_scheduler(t, wheel.observe());
             }
 
-            if stop_hit
-                && !matches!(
-                    config.stop,
-                    StopCondition::MaxSteps | StopCondition::Quiescent
-                )
-            {
+            if stop_hit {
                 return rec.finish(t, StopReason::ConditionMet, config);
             }
             if wheel.is_empty() && !armed {

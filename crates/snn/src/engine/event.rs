@@ -4,11 +4,11 @@ use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::dense::route_spikes;
-use super::{
-    check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopCondition, StopReason,
-};
+use super::wheel::TimeWheel;
+use super::{check_initial, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopReason};
 use crate::error::SnnError;
 use crate::network::Network;
+use crate::params::LifParams;
 use crate::types::{NeuronId, Time};
 
 /// Event-driven engine with lazy voltage decay.
@@ -95,12 +95,7 @@ impl EventEngine {
         if O::ENABLED {
             obs.on_scheduler(0, wheel.observe());
         }
-        if stop_hit
-            && !matches!(
-                config.stop,
-                StopCondition::MaxSteps | StopCondition::Quiescent
-            )
-        {
+        if stop_hit {
             return rec.finish(0, StopReason::ConditionMet, config);
         }
 
@@ -110,53 +105,22 @@ impl EventEngine {
                 break;
             }
 
-            // Drain and accumulate every delivery arriving at step t. The
-            // wheel yields deliveries in scheduling order — the same order
-            // the dense engines accumulate in — so per-target sums are
-            // bit-identical across engines.
-            batch.clear();
-            wheel.drain_at(t, batch);
-            obs.on_spike_batch(t, batch.len() as u64);
-            for &(id, w) in batch.iter() {
-                let i = id.index();
-                if !dirty[i] {
-                    dirty[i] = true;
-                    touched.push(id);
-                }
-                accum[i] += w;
-            }
-            touched.sort_unstable();
-            let updates = touched.len() as u64;
+            let (delivered, updates) = update_step(
+                t,
+                params,
+                wheel,
+                LazyState {
+                    batch,
+                    voltages,
+                    last_update,
+                    accum,
+                    dirty,
+                    touched,
+                },
+                fired,
+            );
+            obs.on_spike_batch(t, delivered);
             rec.add_updates(updates);
-
-            // Update each touched neuron: lazy decay, add input, threshold.
-            fired.clear();
-            for &id in touched.iter() {
-                let i = id.index();
-                let p = &params[i];
-                let dt = t - last_update[i];
-                let v0 = voltages[i];
-                // dt == 0 cannot happen (events batch per step), and
-                // decay 0 keeps the voltage; both leave v0 untouched.
-                let decayed = if dt == 0 || p.decay == 0.0 {
-                    v0
-                } else if p.decay == 1.0 {
-                    p.v_reset
-                } else {
-                    p.v_reset + (v0 - p.v_reset) * (1.0 - p.decay).powi(dt as i32)
-                };
-                let v_hat = decayed + accum[i];
-                if v_hat > p.v_threshold {
-                    fired.push(id);
-                    voltages[i] = p.v_reset;
-                } else {
-                    voltages[i] = v_hat;
-                }
-                last_update[i] = t;
-                accum[i] = 0.0;
-                dirty[i] = false;
-            }
-            touched.clear();
             last_active = t;
 
             stop_hit = rec.record_step(t, fired, &config.stop);
@@ -173,12 +137,7 @@ impl EventEngine {
                 obs.on_scheduler(t, wheel.observe());
             }
 
-            if stop_hit
-                && !matches!(
-                    config.stop,
-                    StopCondition::MaxSteps | StopCondition::Quiescent
-                )
-            {
+            if stop_hit {
                 return rec.finish(t, StopReason::ConditionMet, config);
             }
         }
@@ -189,6 +148,92 @@ impl EventEngine {
             rec.finish(config.max_steps, StopReason::MaxStepsReached, config)
         }
     }
+}
+
+/// The event engine's per-neuron lazy-decay state, borrowed for one
+/// [`update_step`]. Every slice is indexed by neuron id; `accum` and
+/// `dirty` are all-zero / all-false between steps and `touched` empty.
+pub(crate) struct LazyState<'a> {
+    /// Drained delivery batch (scratch; overwritten each step).
+    pub(crate) batch: &'a mut Vec<(NeuronId, f64)>,
+    /// Membrane potential as of `last_update`.
+    pub(crate) voltages: &'a mut [f64],
+    /// Last step each neuron's decay was applied.
+    pub(crate) last_update: &'a mut [Time],
+    /// Per-step synaptic input accumulator.
+    pub(crate) accum: &'a mut [f64],
+    /// Membership bitmap for `touched`.
+    pub(crate) dirty: &'a mut [bool],
+    /// Neurons receiving input this step.
+    pub(crate) touched: &'a mut Vec<NeuronId>,
+}
+
+/// One event-driven step at `t`: drains every delivery due at `t` from
+/// `wheel`, accumulates it per target, and updates exactly the touched
+/// neurons — lazy decay over the quiet interval, add input, threshold —
+/// leaving the ones that fire in `fired`, ascending. Returns
+/// `(deliveries drained, neurons updated)`.
+///
+/// The wheel yields deliveries in scheduling order — the same order the
+/// dense engines accumulate in — so per-target sums are bit-identical
+/// across engines. The event engine runs this over the whole network;
+/// the partitioned engine runs it per partition over local ids.
+pub(crate) fn update_step(
+    t: Time,
+    params: &[LifParams],
+    wheel: &mut TimeWheel,
+    st: LazyState<'_>,
+    fired: &mut Vec<NeuronId>,
+) -> (u64, u64) {
+    let LazyState {
+        batch,
+        voltages,
+        last_update,
+        accum,
+        dirty,
+        touched,
+    } = st;
+    batch.clear();
+    wheel.drain_at(t, batch);
+    for &(id, w) in batch.iter() {
+        let i = id.index();
+        if !dirty[i] {
+            dirty[i] = true;
+            touched.push(id);
+        }
+        accum[i] += w;
+    }
+    touched.sort_unstable();
+
+    fired.clear();
+    for &id in touched.iter() {
+        let i = id.index();
+        let p = &params[i];
+        let dt = t - last_update[i];
+        let v0 = voltages[i];
+        // dt == 0 cannot happen (events batch per step), and decay 0
+        // keeps the voltage; both leave v0 untouched.
+        let decayed = if dt == 0 || p.decay == 0.0 {
+            v0
+        } else if p.decay == 1.0 {
+            p.v_reset
+        } else {
+            p.v_reset + (v0 - p.v_reset) * (1.0 - p.decay).powi(dt as i32)
+        };
+        let v_hat = decayed + accum[i];
+        if v_hat > p.v_threshold {
+            fired.push(id);
+            voltages[i] = p.v_reset;
+        } else {
+            voltages[i] = v_hat;
+        }
+        last_update[i] = t;
+        accum[i] = 0.0;
+        dirty[i] = false;
+    }
+    let updates = touched.len() as u64;
+    touched.clear();
+    (batch.len() as u64, updates)
 }
 
 #[cfg(test)]

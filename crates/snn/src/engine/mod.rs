@@ -9,7 +9,7 @@
 mod batch;
 mod bitplane;
 mod dense;
-mod event;
+pub(crate) mod event;
 mod parallel;
 mod stepper;
 pub(crate) mod sync;
@@ -414,6 +414,25 @@ mod tests {
         let mut rec = Recorder::new(&net, &cfg).unwrap();
         assert!(!rec.record_step(1, &[a], &cfg.stop));
         assert!(rec.record_step(2, &[b], &cfg.stop));
+    }
+
+    #[test]
+    fn recorder_never_stops_under_max_steps_or_quiescent() {
+        // The engines stop on `record_step` alone, which relies on this:
+        // only `Terminal`, `AllOf` and `AnyOf` can ever satisfy a run,
+        // even when the network's designated terminal fires.
+        let mut net = Network::new();
+        let ids = net.add_neurons(LifParams::default(), 4);
+        net.set_terminal(ids[3]);
+        for cfg in [RunConfig::fixed(10), RunConfig::until_quiescent(10)] {
+            let mut rec = Recorder::new(&net, &cfg).unwrap();
+            for t in 0..3 {
+                assert!(!rec.record_step(t, &ids, &cfg.stop), "{:?}", cfg.stop);
+            }
+            for &id in &ids {
+                assert!(!rec.record_step(3, &[id], &cfg.stop), "{:?}", cfg.stop);
+            }
+        }
     }
 
     #[test]

@@ -39,8 +39,7 @@ use super::batch::RunScratch;
 use super::dense::route_spikes;
 use super::sync::SpinBarrier;
 use super::{
-    check_initial, DenseEngine, Engine, EngineChoice, Recorder, RunConfig, RunResult,
-    StopCondition, StopReason,
+    check_initial, DenseEngine, Engine, EngineChoice, Recorder, RunConfig, RunResult, StopReason,
 };
 use crate::error::SnnError;
 use crate::params::LifParams;
@@ -174,12 +173,7 @@ impl ParallelDenseEngine {
         if O::ENABLED {
             obs.on_scheduler(0, wheel.observe());
         }
-        if stop_hit
-            && !matches!(
-                config.stop,
-                StopCondition::MaxSteps | StopCondition::Quiescent
-            )
-        {
+        if stop_hit {
             return rec.finish(0, StopReason::ConditionMet, config);
         }
         let spontaneous = params.iter().any(|p| !p.is_input_driven());
@@ -268,12 +262,7 @@ impl ParallelDenseEngine {
                         obs.on_scheduler(t, wheel.observe());
                     }
 
-                    if stop_hit
-                        && !matches!(
-                            config.stop,
-                            StopCondition::MaxSteps | StopCondition::Quiescent
-                        )
-                    {
+                    if stop_hit {
                         break 'run (t, StopReason::ConditionMet);
                     }
                     if wheel.is_empty() && !armed {

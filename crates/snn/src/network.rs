@@ -116,7 +116,7 @@ pub(crate) struct DelayBucket {
 ///   masks are materialised only for such networks, and only while small
 ///   and dense enough to beat the gather (see [`Self::uses_masks`]).
 ///
-/// Synapses with delays beyond the wheel horizon ([`HORIZON_CAP`]) go to a
+/// Synapses with delays beyond the wheel horizon (`HORIZON_CAP`) go to a
 /// per-source overflow list; the engine parks them in an ordered map just
 /// as the wheel does, so both engines classify every delivery identically.
 ///

@@ -5,10 +5,10 @@
 //!
 //! 1. **Compute** — every partition drains its own scheduler wheel at `t`
 //!    and updates exactly the neurons that received input (the event
-//!    engine's lazy-decay update, verbatim). Because every synapse has
-//!    delay >= 1, nothing a partition does at `t` can affect another
-//!    partition at `t` — the exchange horizon is exactly one tick, so the
-//!    compute phase needs no communication at all.
+//!    engine's own lazy-decay update step, over local ids). Because
+//!    every synapse has delay >= 1, nothing a partition does at `t` can
+//!    affect another partition at `t` — the exchange horizon is exactly
+//!    one tick, so the compute phase needs no communication at all.
 //! 2. **Exchange** — the barrier. Owners push one [`SpikeEvent`] per cut
 //!    synapse of each fired source onto the destination's channel; then
 //!    every partition schedules *all* deliveries addressed to it — its
@@ -25,21 +25,18 @@
 //! scheduling order. Per-target floating-point accumulation order — and
 //! with it every `RunResult` bit — is preserved.
 //!
-//! Two drivers share this phase structure. The sequential driver in this
-//! module takes partitions in turn within one thread; the threaded
-//! driver in [`super::driver`] gives each worker thread a fixed set of
-//! partitions and meets the others at a tiered barrier between phases —
-//! same phases, same merge, bit-identical results. `threads <= 1` (or a
-//! plan with at most one non-empty partition) always takes the
-//! sequential path, so single-threaded runs pay zero barrier overhead.
+//! One superstep loop (the private `driver` module) runs these phases at
+//! every thread count: each worker runs them over the partitions it
+//! owns, and a one-worker run — `threads <= 1`, or a plan with at most
+//! one non-empty partition — runs them inline on the calling thread, so
+//! single-threaded runs pay zero barrier overhead.
 
-use sgl_observe::{NullObserver, RunObserver, SchedulerStats, StepRecord};
+use sgl_observe::{NullObserver, RunObserver, SchedulerStats};
 
 use crate::engine::wheel::TimeWheel;
-use crate::engine::{Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
+use crate::engine::{Engine, RunConfig, RunResult};
 use crate::error::SnnError;
 use crate::network::Network;
-use crate::params::LifParams;
 use crate::types::{NeuronId, Time};
 
 use super::channel::{SpikeChannel, SpikeEvent};
@@ -80,7 +77,7 @@ pub struct WorkerStats {
 pub struct PartitionRunStats {
     /// Number of partitions driven.
     pub parts: usize,
-    /// Worker threads that drove the supersteps (1 = sequential driver).
+    /// Worker threads that drove the supersteps (1 = inline, no pool).
     pub threads: usize,
     /// Static edge cut of the plan.
     pub cut_edges: u64,
@@ -92,11 +89,10 @@ pub struct PartitionRunStats {
     pub supersteps: u64,
     /// Per-channel breakdown, ordered by `(from, to)`.
     pub channels: Vec<ChannelTraffic>,
-    /// Per-worker busy/barrier-wait totals (empty for the sequential
-    /// driver).
+    /// Per-worker busy/barrier-wait totals (empty for one-worker runs).
     pub workers: Vec<WorkerStats>,
     /// Worst superstep imbalance: the slowest worker's busy time over the
-    /// per-worker mean (1.0 = perfectly balanced; 0 for sequential runs).
+    /// per-worker mean (1.0 = perfectly balanced; 0 for one-worker runs).
     pub imbalance_max: f64,
     /// Mean superstep imbalance across all supersteps the workers drove.
     pub imbalance_mean: f64,
@@ -106,14 +102,14 @@ pub struct PartitionRunStats {
 /// event engine's lazy-decay bookkeeping, all indexed by local id.
 pub(super) struct PartState {
     pub(super) wheel: TimeWheel,
-    batch: Vec<(NeuronId, f64)>,
+    pub(super) batch: Vec<(NeuronId, f64)>,
     /// Local ids fired this superstep, ascending (== ascending global).
-    pub(super) fired: Vec<u32>,
-    voltages: Vec<f64>,
-    last_update: Vec<Time>,
-    accum: Vec<f64>,
-    dirty: Vec<bool>,
-    touched: Vec<NeuronId>,
+    pub(super) fired: Vec<NeuronId>,
+    pub(super) voltages: Vec<f64>,
+    pub(super) last_update: Vec<Time>,
+    pub(super) accum: Vec<f64>,
+    pub(super) dirty: Vec<bool>,
+    pub(super) touched: Vec<NeuronId>,
     /// Per-peer inbound event buffers, recycled across supersteps.
     inbox: Vec<Vec<SpikeEvent>>,
     /// Per-peer merge cursors into `inbox`.
@@ -138,62 +134,6 @@ impl PartState {
             merge_idx: vec![0; parts],
         }
     }
-
-    /// The compute phase: drain deliveries due at `t`, apply the event
-    /// engine's lazy-decay update to every touched neuron, and collect
-    /// fired local ids. Returns `(batch_len, updates)`.
-    pub(super) fn step(&mut self, t: Time, params: &[LifParams]) -> (u64, u64) {
-        self.batch.clear();
-        self.wheel.drain_at(t, &mut self.batch);
-        for &(id, w) in &self.batch {
-            let i = id.index();
-            if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.touched.push(id);
-            }
-            self.accum[i] += w;
-        }
-        self.touched.sort_unstable();
-        let updates = self.touched.len() as u64;
-
-        self.fired.clear();
-        for &id in &self.touched {
-            let i = id.index();
-            let p = &params[i];
-            let dt = t - self.last_update[i];
-            let v0 = self.voltages[i];
-            let decayed = if dt == 0 || p.decay == 0.0 {
-                v0
-            } else if p.decay == 1.0 {
-                p.v_reset
-            } else {
-                p.v_reset + (v0 - p.v_reset) * (1.0 - p.decay).powi(dt as i32)
-            };
-            let v_hat = decayed + self.accum[i];
-            if v_hat > p.v_threshold {
-                self.fired.push(id.0);
-                self.voltages[i] = p.v_reset;
-            } else {
-                self.voltages[i] = v_hat;
-            }
-            self.last_update[i] = t;
-            self.accum[i] = 0.0;
-            self.dirty[i] = false;
-        }
-        self.touched.clear();
-        (self.batch.len() as u64, updates)
-    }
-}
-
-/// Earliest superstep with a pending delivery in any partition.
-pub(super) fn next_superstep(states: &mut [PartState]) -> Option<Time> {
-    let mut best: Option<Time> = None;
-    for st in states.iter_mut() {
-        if let Some(t) = st.wheel.next_time() {
-            best = Some(best.map_or(t, |b| b.min(t)));
-        }
-    }
-    best
 }
 
 /// Occupancy across all partition wheels. `in_flight` and
@@ -216,10 +156,11 @@ pub(super) fn aggregate_scheduler<'a>(
 
 impl PartitionPlan {
     /// Runs the plan with spikes induced in `initial_spikes` (global ids)
-    /// at `t = 0`, driven by `threads` worker threads (1 = the sequential
-    /// driver; see [`super::driver`]), and returns the run stats with the
-    /// result — including the per-worker busy/barrier-wait totals and
-    /// superstep imbalance when the threaded driver actually engaged.
+    /// at `t = 0`, driven by `threads` worker threads (capped at the
+    /// busy-partition count; one worker runs inline on the calling
+    /// thread), and returns the run stats with the result — including the
+    /// per-worker busy/barrier-wait totals and superstep imbalance when a
+    /// worker pool actually ran.
     /// Bit-identical to running the source network on
     /// [`crate::engine::EventEngine`] at any thread count.
     ///
@@ -240,8 +181,8 @@ impl PartitionPlan {
     /// the usual step and scheduler series (aggregated across
     /// partitions), the observer receives [`RunObserver::on_cut_traffic`]
     /// once per channel with traffic per superstep. The step, scheduler,
-    /// and cut-traffic series are bit-identical at any thread count; the
-    /// threaded driver additionally reports
+    /// and cut-traffic series are bit-identical at any thread count; a
+    /// pooled run additionally reports
     /// [`RunObserver::on_worker_superstep`],
     /// [`RunObserver::on_superstep_imbalance`], and the coordinator's
     /// [`RunObserver::on_barrier_wait`].
@@ -255,7 +196,7 @@ impl PartitionPlan {
         threads: usize,
         obs: &mut O,
     ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        let (result, stats) = self.run_core(initial_spikes, config, threads, obs)?;
+        let (result, stats) = super::driver::run(self, initial_spikes, config, threads, obs)?;
         obs.on_finish(
             result.steps,
             result.stats.spike_events,
@@ -263,182 +204,6 @@ impl PartitionPlan {
             result.stats.neuron_updates,
         );
         Ok((result, stats))
-    }
-
-    /// [`Self::run_observed_threaded`] without the final `on_finish` —
-    /// the shared hot path ([`crate::engine::Prepared::run`] reports the
-    /// finish itself).
-    pub(crate) fn run_core<O: RunObserver>(
-        &self,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        threads: usize,
-        obs: &mut O,
-    ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        let p = self.parts();
-        for &id in initial_spikes {
-            if id.index() >= self.neuron_count() {
-                return Err(SnnError::UnknownNeuron(id));
-            }
-        }
-        let mut rec = Recorder::with_shape(self.neuron_count(), self.terminal(), config)?;
-        let mut states: Vec<PartState> = (0..p)
-            .map(|q| PartState::new(self.subnet(q).neuron_count(), self.max_delay(), p))
-            .collect();
-        // One SPSC channel per ordered pair with at least one cut synapse.
-        let channels: Vec<Option<SpikeChannel>> = (0..p * p)
-            .map(|i| {
-                let (from, to) = (i / p, i % p);
-                (from != to && self.pair_cut(from, to) > 0)
-                    .then(|| SpikeChannel::new(self.channel_capacity(from, to)))
-            })
-            .collect();
-        let mut tick_traffic = vec![0u64; p * p];
-        let mut supersteps = 1u64;
-
-        // t = 0: induce the initial spikes and route their deliveries.
-        let mut fired_global: Vec<NeuronId> = initial_spikes.to_vec();
-        fired_global.sort_unstable();
-        fired_global.dedup();
-        for &id in &fired_global {
-            let q = self.assignment()[id.index()] as usize;
-            states[q].fired.push(self.local_of()[id.index()]);
-        }
-        let mut stop_hit = rec.record_step(0, &fired_global, &config.stop);
-        let deliveries = self.exchange(0, &mut states, &channels, &mut tick_traffic, &mut rec);
-        obs.on_step(
-            0,
-            StepRecord {
-                spikes: fired_global.len() as u64,
-                deliveries,
-                updates: 0,
-            },
-        );
-        if O::ENABLED {
-            obs.on_scheduler(0, aggregate_scheduler(&states));
-        }
-        emit_cut_traffic(obs, 0, p, &mut tick_traffic);
-        if stop_hit
-            && !matches!(
-                config.stop,
-                StopCondition::MaxSteps | StopCondition::Quiescent
-            )
-        {
-            let result = rec.finish(0, StopReason::ConditionMet, config)?;
-            return Ok((result, self.traffic_stats(&channels, supersteps)));
-        }
-
-        // Occupancy-aware worker shedding (the PR 3 fix, applied here):
-        // a worker can only be busy when it owns a non-empty partition,
-        // so cap the pool at the busy-partition count and take the
-        // sequential path outright when one worker would own everything —
-        // zero barrier overhead at `threads == 1` or single-partition
-        // plans.
-        let busy_parts = (0..p)
-            .filter(|&q| self.subnet(q).neuron_count() > 0)
-            .count()
-            .max(1);
-        let workers = threads.clamp(1, busy_parts);
-        if workers > 1 {
-            return super::driver::run_threaded(
-                self,
-                config,
-                obs,
-                rec,
-                states,
-                channels,
-                fired_global,
-                tick_traffic,
-                supersteps,
-                workers,
-            );
-        }
-
-        let mut last_active: Time = 0;
-        while let Some(t) = next_superstep(&mut states) {
-            if t > config.max_steps {
-                break;
-            }
-            supersteps += 1;
-
-            // Compute phase: every wheel is drained at every superstep —
-            // including empty ones — so each partition clock stays equal
-            // to the monolithic clock (horizon classification depends on
-            // `now`).
-            let mut batch_total = 0u64;
-            let mut updates_total = 0u64;
-            for (q, st) in states.iter_mut().enumerate() {
-                let (b, u) = st.step(t, self.subnet(q).params_slice());
-                batch_total += b;
-                updates_total += u;
-            }
-            obs.on_spike_batch(t, batch_total);
-            rec.add_updates(updates_total);
-
-            fired_global.clear();
-            for (q, st) in states.iter().enumerate() {
-                let globals = self.globals(q);
-                fired_global.extend(st.fired.iter().map(|&l| globals[l as usize]));
-            }
-            fired_global.sort_unstable();
-            last_active = t;
-
-            stop_hit = rec.record_step(t, &fired_global, &config.stop);
-            let deliveries = self.exchange(t, &mut states, &channels, &mut tick_traffic, &mut rec);
-            obs.on_step(
-                t,
-                StepRecord {
-                    spikes: fired_global.len() as u64,
-                    deliveries,
-                    updates: updates_total,
-                },
-            );
-            if O::ENABLED {
-                obs.on_scheduler(t, aggregate_scheduler(&states));
-            }
-            emit_cut_traffic(obs, t, p, &mut tick_traffic);
-
-            if stop_hit
-                && !matches!(
-                    config.stop,
-                    StopCondition::MaxSteps | StopCondition::Quiescent
-                )
-            {
-                let result = rec.finish(t, StopReason::ConditionMet, config)?;
-                return Ok((result, self.traffic_stats(&channels, supersteps)));
-            }
-        }
-
-        let result = if states.iter().all(|st| st.wheel.is_empty()) {
-            rec.finish(last_active, StopReason::Quiescent, config)?
-        } else {
-            rec.finish(config.max_steps, StopReason::MaxStepsReached, config)?
-        };
-        Ok((result, self.traffic_stats(&channels, supersteps)))
-    }
-
-    /// The barrier: owners publish cut deliveries for this superstep's
-    /// spikes, then every partition schedules everything addressed to it
-    /// — own intra-partition routing merged with inbound channel streams
-    /// by global source id (see the module docs for why this reproduces
-    /// the monolithic scheduling order).
-    fn exchange(
-        &self,
-        t: Time,
-        states: &mut [PartState],
-        channels: &[Option<SpikeChannel>],
-        tick_traffic: &mut [u64],
-        rec: &mut Recorder,
-    ) -> u64 {
-        for (q, st) in states.iter().enumerate() {
-            publish_cut(self, q, &st.fired, channels, t);
-        }
-        let mut deliveries = 0u64;
-        for (q, st) in states.iter_mut().enumerate() {
-            deliveries += merge_schedule(self, q, st, channels, t, tick_traffic);
-        }
-        rec.add_deliveries(deliveries);
-        deliveries
     }
 
     pub(super) fn traffic_stats(
@@ -476,15 +241,15 @@ impl PartitionPlan {
 
 /// The publish half of the exchange for one partition: one [`SpikeEvent`]
 /// per (fired source) × (cut synapse), pushed onto the destination's
-/// channel. In the threaded driver this runs concurrently across
-/// partitions — each channel still has exactly one producer (the owner of
-/// `q`), so the SPSC ring contract holds, and within a channel the push
-/// order is `q`'s fired order × CSR order, identical to the sequential
-/// driver. A plan with an empty cut skips the scan entirely.
+/// channel. In a pooled run this runs concurrently across partitions —
+/// each channel still has exactly one producer (the owner of `q`), so the
+/// SPSC ring contract holds, and within a channel the push order is `q`'s
+/// fired order × CSR order at any thread count. A plan with an empty cut
+/// skips the scan entirely.
 pub(super) fn publish_cut(
     plan: &PartitionPlan,
     q: usize,
-    fired: &[u32],
+    fired: &[NeuronId],
     channels: &[Option<SpikeChannel>],
     t: Time,
 ) {
@@ -493,11 +258,11 @@ pub(super) fn publish_cut(
     }
     let p = plan.parts();
     for &l in fired {
-        let cuts = plan.cut_out(q, l as usize);
+        let cuts = plan.cut_out(q, l.index());
         if cuts.is_empty() {
             continue;
         }
-        let src = plan.globals(q)[l as usize].0;
+        let src = plan.globals(q)[l.index()].0;
         for c in cuts {
             channels[q * p + c.part as usize]
                 .as_ref()
@@ -557,7 +322,7 @@ pub(super) fn merge_schedule(
     // merge scan.
     if inbound == 0 {
         for &l in fired.iter() {
-            for s in csr.out(l as usize) {
+            for s in csr.out(l.index()) {
                 wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
                 deliveries += 1;
             }
@@ -572,7 +337,7 @@ pub(super) fn merge_schedule(
         let mut best_stream = p; // p = the own-fired stream
         let mut found = false;
         if own_i < fired.len() {
-            best_src = globals[fired[own_i] as usize].0;
+            best_src = globals[fired[own_i].index()].0;
             found = true;
         }
         for peer in 0..p {
@@ -588,7 +353,7 @@ pub(super) fn merge_schedule(
             break;
         }
         if best_stream == p {
-            let l = fired[own_i] as usize;
+            let l = fired[own_i].index();
             own_i += 1;
             for s in csr.out(l) {
                 wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
@@ -644,15 +409,15 @@ pub struct PartitionedEngine {
     pub parts: usize,
     /// Edge-cut strategy used at compile time.
     pub strategy: CutStrategy,
-    /// Worker threads driving the supersteps (1 = sequential driver; more
-    /// engages the threaded BSP driver, capped at the busy-partition
+    /// Worker threads driving the supersteps (1 = inline on the calling
+    /// thread; more engages a worker pool, capped at the busy-partition
     /// count).
     pub threads: usize,
 }
 
 impl PartitionedEngine {
     /// An engine with `parts` partitions, the default cut strategy, and
-    /// the sequential driver.
+    /// one worker (inline, no pool).
     #[must_use]
     pub fn new(parts: usize) -> Self {
         Self {
@@ -669,8 +434,8 @@ impl PartitionedEngine {
         self
     }
 
-    /// Sets the worker-thread count for the superstep driver. `0` and `1`
-    /// both mean the sequential driver.
+    /// Sets the worker-thread count for the superstep loop. `0` and `1`
+    /// both mean one worker, run inline on the calling thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -706,7 +471,7 @@ impl Engine for PartitionedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EventEngine;
+    use crate::engine::{EventEngine, StopReason};
     use crate::params::LifParams;
 
     fn chain(n: usize, delay: u32) -> Network {

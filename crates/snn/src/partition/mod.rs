@@ -11,7 +11,7 @@
 //! inter-partition communication is pure spike events, per Hamilton,
 //! Mintz & Schuman's spike-based primitives discipline.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`cut`] — pluggable [`Partitioner`] strategies producing a
 //!   neuron → partition assignment ([`RangePartitioner`],
@@ -20,17 +20,19 @@
 //!   sub-networks (via the `NetworkBuilder` counting-sort path) plus
 //!   [`CutSynapse`] tables, and accounts the whole footprint in
 //!   [`PartitionPlan::memory_bytes`].
-//! * [`engine`] — [`PartitionedEngine`] drives the sub-networks in
-//!   bulk-synchronous supersteps, exchanging [`channel::SpikeEvent`]s
-//!   over SPSC [`channel::SpikeChannel`] rings. Because every synapse
-//!   has delay >= 1, the exchange horizon is exactly one tick.
-//! * [`driver`] — the threaded BSP driver: a persistent worker pool
-//!   where each worker owns a fixed set of partitions and meets the
-//!   others at a tiered barrier between the compute and merge phases.
-//!   Engaged by [`PartitionedEngine::with_threads`] (or the `threads`
-//!   argument of [`PartitionPlan::run_with_stats_threaded`]);
-//!   `threads <= 1` stays on the sequential driver with zero barrier
-//!   overhead.
+//! * [`engine`] — [`PartitionedEngine`] and the per-partition phases of
+//!   a bulk-synchronous superstep: compute (the event engine's own
+//!   update step), then exchange [`channel::SpikeEvent`]s over SPSC
+//!   [`channel::SpikeChannel`] rings. Because every synapse has
+//!   delay >= 1, the exchange horizon is exactly one tick.
+//! * `driver` — the one superstep loop, for every thread count: each
+//!   worker owns a fixed set of partitions and runs one worker body per
+//!   superstep; the coordinator folds the workers' reports into the
+//!   recorder and the observer. With one worker
+//!   ([`PartitionedEngine::with_threads`] `<= 1`, or one busy partition)
+//!   the coordinator runs the body inline — no thread, no barrier;
+//!   otherwise a persistent pool runs it between tiered barrier
+//!   crossings.
 //!
 //! Results are bit-identical to [`crate::engine::EventEngine`] — same
 //! spike times, same raster, same work counters — under any partition

@@ -11,7 +11,7 @@
 //! cover the sum of its parts.
 
 use proptest::prelude::*;
-use sgl_snn::engine::{Engine, EventEngine, RunConfig, RunObserver};
+use sgl_snn::engine::{Engine, EventEngine, RunConfig, RunObserver, TimeSeriesObserver};
 use sgl_snn::partition::{CutStrategy, PartitionPlan, PartitionedEngine, RangePartitioner};
 use sgl_snn::{LifParams, Network, NeuronId};
 
@@ -276,5 +276,63 @@ proptest! {
         // And the run itself is still bit-identical to the monolith.
         let mono = EventEngine.run(&net, &initial, &cfg).unwrap();
         prop_assert_eq!(&mono, &result);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One superstep loop serves every thread count, so the observer's
+    /// step, scheduler and cut-traffic series cannot depend on it: at 2
+    /// and 4 partitions, 2 and 4 threads must reproduce the threads = 1
+    /// series exactly. The worker hooks are what differ — none inline,
+    /// one per worker per post-injection superstep from the pool.
+    #[test]
+    fn observer_series_match_at_every_thread_count(
+        edges in proptest::collection::vec((0usize..16, 0usize..16, 1u32..6, 0u8..3), 1..48),
+        stims in proptest::collection::vec(0usize..16, 1..4),
+        parts_log2 in 1u32..3,
+    ) {
+        let mut net = Network::new();
+        let ids = net.add_neurons(LifParams::gate_at_least(2), 16);
+        for &(s, d, delay, w) in &edges {
+            net.connect(ids[s], ids[d], f64::from(w), delay).unwrap();
+        }
+        let initial: Vec<NeuronId> = stims.iter().map(|&i| ids[i]).collect();
+        let cfg = RunConfig::until_quiescent(60);
+        let plan = PartitionedEngine::new(1 << parts_log2).compile(&net).unwrap();
+
+        let mut base = TimeSeriesObserver::new();
+        let (base_result, base_stats) = plan
+            .run_observed_threaded(&initial, &cfg, 1, &mut base)
+            .unwrap();
+        prop_assert_eq!(base_stats.threads, 1);
+        prop_assert!(base_stats.workers.is_empty());
+        prop_assert_eq!(base_stats.imbalance_max, 0.0);
+        prop_assert_eq!(base.worker_busy.count(), 0);
+        prop_assert!(base.imbalance_permille.is_empty());
+        prop_assert_eq!(base.barrier_wait_total_ns, 0);
+
+        for threads in [2usize, 4] {
+            let mut obs = TimeSeriesObserver::new();
+            let (result, stats) = plan
+                .run_observed_threaded(&initial, &cfg, threads, &mut obs)
+                .unwrap();
+            prop_assert_eq!(&result, &base_result, "threads = {}", threads);
+            prop_assert_eq!(&obs.times, &base.times);
+            prop_assert_eq!(&obs.spikes, &base.spikes);
+            prop_assert_eq!(&obs.deliveries, &base.deliveries);
+            prop_assert_eq!(&obs.updates, &base.updates);
+            prop_assert_eq!(&obs.wheel_in_flight, &base.wheel_in_flight);
+            prop_assert_eq!(&obs.wheel_occupied, &base.wheel_occupied);
+            prop_assert_eq!(obs.cut_traffic_total, base.cut_traffic_total);
+            prop_assert_eq!(obs.final_step, base.final_step);
+            prop_assert_eq!(stats.supersteps, base_stats.supersteps);
+            prop_assert_eq!(
+                obs.worker_busy.count(),
+                stats.workers.len() as u64 * (stats.supersteps - 1),
+                "threads = {}", threads
+            );
+        }
     }
 }

@@ -161,7 +161,7 @@ fn render_partition_report(report: &RunReport, path: &str) {
     assert!(rendered > 0, "no cut_traffic tables in {path}");
 
     // Threaded-driver worker balance, one table per problem size: the
-    // speedup each thread count buys over t1 (the sequential driver) and
+    // speedup each thread count buys over t1 (one inline worker) and
     // how evenly the supersteps split across the worker pool.
     for (name, data) in &report.sections {
         let Some(size) = name.strip_prefix("table:threaded_") else {
