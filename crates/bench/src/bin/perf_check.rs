@@ -55,7 +55,11 @@ const WARN_RATIO: f64 = 1.10;
 /// sharded server must beat. Any `serve/ns_per_op/<connections>` row at
 /// pipelined concurrency (8+ connections) that comes in above this
 /// means sharding lost to the architecture it replaced — a hard
-/// failure regardless of baseline drift.
+/// failure regardless of baseline drift. What the `serve/*` rows gate is
+/// reactor plus memo-splice throughput: `BENCH_serve.json` traffic hits
+/// the result memo at a ratio of about 0.99999, so the engine and row
+/// rendering barely run. The served, engine-bound number is perfbench's
+/// `serve_engine` workload.
 const SINGLE_QUEUE_BASELINE_NS_PER_OP: u64 = 85_898;
 /// Connection counts below this are latency-bound (one request in
 /// flight rides full round trips), so the throughput floor only applies

@@ -29,6 +29,7 @@
 //! Entries hold `Arc<CompiledNet>` so workers run on a cache entry without
 //! holding the per-handle lock — compilation happens *outside* it too.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +37,7 @@ use std::time::Duration;
 
 use sgl_core::{khop_layered, sssp_pseudo::SpikingSssp};
 use sgl_graph::{Graph, Len};
-use sgl_observe::{Json, NullObserver, PhaseProfiler, RunObserver};
+use sgl_observe::{parse_json, Json, NullObserver, PhaseProfiler, RunObserver};
 use sgl_snn::engine::{EngineChoice, Prepared, RunConfig, RunResult, RunScratch};
 use sgl_snn::{Network, NeuronId, PartitionPlan, SnnError};
 
@@ -123,15 +124,16 @@ pub enum ResultKey {
     },
 }
 
-/// A memoized query answer: the structured `data` object (already
-/// carrying `"cache": "hit"`) for in-process callers that inspect fields,
-/// plus the same object pre-serialized for the TCP path to splice
-/// verbatim into a response line without re-rendering distances.
+/// A memoized query answer in both forms. The memo keeps only
+/// `rendered`, the one copy the TCP path splices verbatim into a
+/// response line; [`GraphHandle::cached_result`] re-parses `data` from
+/// it for in-process callers that inspect fields, and
+/// [`GraphHandle::store_result`] drops `data`.
 #[derive(Clone, Debug)]
 pub struct CachedResult {
     /// Structured `data` payload, `cache` field already `"hit"`.
     pub data: Json,
-    /// `data.to_string()` of that payload, rendered exactly once.
+    /// `data.to_string()` of that payload.
     pub rendered: Arc<str>,
 }
 
@@ -155,10 +157,11 @@ pub struct GraphHandle {
     pub fingerprint: u64,
     /// Compiled networks built from `graph`, by construction/params.
     nets: Mutex<HashMap<Algo, Arc<CompiledNet>>>,
-    /// Memoized query answers (see [`ResultKey`]); sound because the
-    /// graph behind a handle is immutable — replacement makes a new
-    /// handle, and the memo dies with this one.
-    results: Mutex<HashMap<ResultKey, CachedResult>>,
+    /// Memoized query answers as rendered `data` objects (see
+    /// [`ResultKey`]); sound because the graph behind a handle is
+    /// immutable — replacement makes a new handle, and the memo dies
+    /// with this one.
+    results: Mutex<HashMap<ResultKey, Arc<str>>>,
     /// Rendered bytes held by `results` (the `server_stats` gauge).
     result_bytes: AtomicU64,
     /// Memoized `graph_stats` answer (eccentricity etc. are O(n + m)
@@ -204,23 +207,21 @@ impl GraphHandle {
             .sum()
     }
 
-    /// The memoized answer for `key`, if one is stored.
+    /// The memoized answer for `key`, if one is stored, with `data`
+    /// re-parsed from the stored bytes — for in-process callers only; the
+    /// TCP path takes [`Self::cached_rendered`].
     ///
     /// # Panics
     /// Panics if the handle's result lock is poisoned.
     #[must_use]
     pub fn cached_result(&self, key: &ResultKey) -> Option<CachedResult> {
-        self.results
-            .lock()
-            .expect("handle result lock")
-            .get(key)
-            .cloned()
+        let rendered = self.cached_rendered(key)?;
+        let data = parse_json(&rendered).expect("memoized answers are rendered JSON");
+        Some(CachedResult { data, rendered })
     }
 
-    /// The rendered bytes of a memoized answer, without cloning the
-    /// structured tree — the TCP hot path splices these verbatim, so a
-    /// hit must cost an `Arc` bump, not a deep copy of a distances
-    /// array.
+    /// The rendered bytes of a memoized answer — the TCP hot path
+    /// splices these verbatim, so a hit costs an `Arc` bump.
     ///
     /// # Panics
     /// Panics if the handle's result lock is poisoned.
@@ -230,22 +231,35 @@ impl GraphHandle {
             .lock()
             .expect("handle result lock")
             .get(key)
-            .map(|r| Arc::clone(&r.rendered))
+            .cloned()
     }
 
-    /// Memoizes an answer. Past `RESULT_CACHE_CAP` entries the store is
-    /// a no-op — correctness never depends on an insert landing.
+    /// Memoizes an answer: the memo keeps `result.rendered`, its only
+    /// copy, and drops `result.data`.
     ///
     /// # Panics
     /// Panics if the handle's result lock is poisoned.
     pub fn store_result(&self, key: ResultKey, result: CachedResult) {
+        self.store_rendered(key, result.rendered);
+    }
+
+    /// Memoizes an answer as its rendered `data` object, `cache` field
+    /// already `"hit"`. A key already stored keeps its first answer (the
+    /// same bytes — answers are pure), so the byte gauge never counts a
+    /// key twice. Past `RESULT_CACHE_CAP` entries the store is a no-op —
+    /// correctness never depends on an insert landing.
+    ///
+    /// # Panics
+    /// Panics if the handle's result lock is poisoned.
+    pub(crate) fn store_rendered(&self, key: ResultKey, rendered: Arc<str>) {
         let mut map = self.results.lock().expect("handle result lock");
         if map.len() >= RESULT_CACHE_CAP {
             return;
         }
-        let bytes = result.rendered.len() as u64;
-        if map.insert(key, result).is_none() {
-            self.result_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if let Entry::Vacant(slot) = map.entry(key) {
+            self.result_bytes
+                .fetch_add(rendered.len() as u64, Ordering::Relaxed);
+            slot.insert(rendered);
         }
     }
 
@@ -827,18 +841,37 @@ mod tests {
             target: None,
         };
         assert!(handle.cached_result(&key).is_none());
-        let rendered: Arc<str> = Arc::from(r#"{"cache":"hit","source":3}"#);
+        let data = Json::obj(vec![
+            ("source", Json::UInt(3)),
+            ("distances", Json::Arr(vec![Json::UInt(0), Json::Null])),
+            ("cache", Json::Str("hit".into())),
+        ]);
+        let rendered: Arc<str> = data.to_string().into();
         handle.store_result(
             key,
             CachedResult {
-                data: Json::obj(vec![("source", Json::UInt(3))]),
+                data: data.clone(),
                 rendered: Arc::clone(&rendered),
             },
         );
+        // The memo holds the rendered bytes themselves, not a copy: a
+        // hit on the TCP path is an `Arc` bump of the stored string.
+        let spliced = handle.cached_rendered(&key).expect("memoized");
+        assert!(Arc::ptr_eq(&spliced, &rendered));
+        // In-process readers get the structured payload back, re-parsed
+        // from those bytes.
         let got = handle.cached_result(&key).expect("memoized");
-        assert_eq!(&*got.rendered, &*rendered);
-        assert_eq!(got.data.get("source").and_then(Json::as_u64), Some(3));
+        assert!(Arc::ptr_eq(&got.rendered, &rendered));
+        assert_eq!(got.data, data);
         assert_eq!(handle.resident_results(), 1);
+        assert_eq!(handle.resident_result_bytes(), rendered.len() as u64);
+        // A second store under the same key keeps the first answer and
+        // counts no bytes twice.
+        handle.store_rendered(key, Arc::from("{}"));
+        assert!(Arc::ptr_eq(
+            &handle.cached_rendered(&key).unwrap(),
+            &rendered
+        ));
         assert_eq!(handle.resident_result_bytes(), rendered.len() as u64);
         // Distinct params are distinct keys.
         assert!(handle

@@ -20,6 +20,8 @@
 //! `overloaded` response, never a closed socket or a hang, and clients
 //! (the stress harness, the CI smoke job) count kinds, not substrings.
 
+use std::fmt::Write;
+
 use sgl_graph::Len;
 use sgl_observe::Json;
 
@@ -565,6 +567,29 @@ pub fn distances_json(distances: &[Option<Len>]) -> Json {
     )
 }
 
+/// Renders a distance row straight to JSON text, byte-identical to
+/// `distances_json(distances).to_string()` but without the intermediate
+/// `Vec<Json>`: the server renders each computed row once and splices the
+/// text as [`Json::Raw`] into both its memo and the response line.
+#[must_use]
+pub(crate) fn render_distances(distances: &[Option<Len>]) -> String {
+    let mut out = String::with_capacity(2 + 4 * distances.len());
+    out.push('[');
+    for (i, d) in distances.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match d {
+            None => out.push_str("null"),
+            Some(v) => {
+                let _ = write!(out, "{v}");
+            }
+        }
+    }
+    out.push(']');
+    out
+}
+
 /// Decodes a [`distances_json`] array (client side).
 ///
 /// # Errors
@@ -800,6 +825,30 @@ mod proptests {
             if let Ok(v) = sgl_observe::parse_json(&s) {
                 let _ = parse_request(&v);
             }
+        }
+
+        /// The direct row renderer is byte-identical to rendering the
+        /// `distances_json` tree, and its text decodes back to the row —
+        /// over rows mixing unreachable, zero, `Len::MAX`, short and long
+        /// entries, the empty row included.
+        #[test]
+        fn render_distances_matches_the_tree_and_round_trips(
+            picks in proptest::collection::vec((0u8..5, 0..=Len::MAX), 0..64)
+        ) {
+            let row: Vec<Option<Len>> = picks
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => None,
+                    1 => Some(0),
+                    2 => Some(Len::MAX),
+                    3 => Some(v % 1000),
+                    _ => Some(v),
+                })
+                .collect();
+            let text = render_distances(&row);
+            prop_assert_eq!(&text, &distances_json(&row).to_string());
+            let parsed = sgl_observe::parse_json(&text).map_err(|e| e.to_string())?;
+            prop_assert_eq!(parse_distances(&parsed)?, row);
         }
     }
 }

@@ -52,11 +52,10 @@ use sgl_observe::{parse_json, Json};
 use sgl_snn::engine::RunScratch;
 
 use crate::admission::{AdmissionError, AdmissionQueue, Job, Lifecycle, ReplyTo, ResponseSlot};
-use crate::cache::{
-    name_hash, Algo, CacheOutcome, CachedResult, GraphRegistry, NetCache, ResultKey,
-};
+use crate::cache::{name_hash, Algo, CacheOutcome, GraphRegistry, NetCache, ResultKey};
 use crate::protocol::{
-    distances_json, parse_request, CacheMode, Envelope, ErrorKind, OpKind, Request, Response,
+    distances_json, parse_request, render_distances, CacheMode, Envelope, ErrorKind, OpKind,
+    Request, Response,
 };
 use crate::reactor::{Poller, Waker};
 use crate::ring::HandoffRing;
@@ -532,10 +531,12 @@ fn check_node(n: usize, node: usize, what: &str) -> Result<(), Response> {
 /// preconditions of the compiled constructions are validated here first,
 /// so shards never die: every failure becomes a typed response.
 ///
-/// `prefer_raw`: a memoized answer comes back as [`Json::Raw`]
-/// pre-rendered bytes instead of a structured value — only valid when
-/// the caller serializes the response without inspecting `data` (the
-/// TCP path). In-process callers get the structured clone.
+/// `prefer_raw`: a memoized answer comes back as [`Json::Raw`] — the
+/// memo's one rendered copy — and a computed distance row as a `Raw`
+/// fragment rendered once, instead of structured values. Only valid when
+/// the caller serializes the response without inspecting `data` (the TCP
+/// path). In-process callers get structured values: a hit re-parsed from
+/// the memo's bytes, a miss's row built as a tree.
 pub(crate) fn execute_query(
     inner: &ServerInner,
     request: &Request,
@@ -671,9 +672,8 @@ fn run_distance_query(
     };
     let lookup_start = Instant::now();
     if let Some(key) = memo_key {
-        // Raw-preferring callers (the TCP path) take only the rendered
-        // bytes — an Arc bump — never a deep clone of the structured
-        // tree they would immediately discard.
+        // Raw-preferring callers (the TCP path) splice the memo's bytes
+        // — an Arc bump; in-process callers get them re-parsed.
         let hit_data = if prefer_raw {
             handle.cached_rendered(&key).map(Json::Raw)
         } else {
@@ -753,18 +753,23 @@ fn run_distance_query(
             "reachable",
             Json::UInt(distances.iter().flatten().count() as u64),
         ));
-        fields.push(("distances", distances_json(&distances)));
+        // Raw-preferring callers get the row rendered once, as text that
+        // the memo and the response line both splice. In-process callers
+        // inspect fields, and a `Raw` fragment is opaque to `get`.
+        let row = if prefer_raw {
+            Json::Raw(render_distances(&distances).into())
+        } else {
+            distances_json(&distances)
+        };
+        fields.push(("distances", row));
     }
     if let Some(key) = memo_key {
         // The memoized copy reports `cache: "hit"` — that is what every
-        // future reader of it will truthfully be — and pre-renders the
-        // JSON so raw-preferring callers splice bytes without touching
-        // the structure again.
+        // future reader of it will truthfully be — and is stored only as
+        // its rendered bytes.
         let mut memo_fields = fields.clone();
         memo_fields.push(("cache", Json::Str("hit".into())));
-        let data = Json::obj(memo_fields);
-        let rendered: Arc<str> = data.to_string().into();
-        handle.store_result(key, CachedResult { data, rendered });
+        handle.store_rendered(key, Json::obj(memo_fields).to_string().into());
     }
     fields.push(("cache", Json::Str(outcome.as_str().into())));
     Ok(Response::Ok {
@@ -1009,6 +1014,7 @@ fn server_stats(inner: &ServerInner) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::parse_distances;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sgl_graph::io::to_dimacs;
@@ -1094,6 +1100,66 @@ mod tests {
             panic!("{resp:?}");
         };
         assert_eq!(data.get("cache").and_then(Json::as_str), Some("bypass"));
+    }
+
+    /// The memo keeps one rendered copy per answer: an in-process hit is
+    /// re-parsed into the miss's structured row, and the byte gauge is
+    /// exactly the sum of the stored strings.
+    #[test]
+    fn memo_stores_one_rendered_copy_per_answer() {
+        let session = Session::open_default();
+        let mut rng = StdRng::seed_from_u64(12);
+        let g = generators::gnm_connected(&mut rng, 30, 110, 1..=9);
+        let resp = session.call_request(Request::LoadGraph {
+            name: "g".into(),
+            dimacs: to_dimacs(&g, ""),
+        });
+        assert!(resp.is_ok(), "{resp:?}");
+        let row = |request: Request| {
+            let resp = session.call_request(request);
+            let Response::Ok { data, .. } = &resp else {
+                panic!("{resp:?}");
+            };
+            parse_distances(data.get("distances").expect("structured row")).expect("decodable row")
+        };
+        let mut keys = Vec::new();
+        for source in 0..4 {
+            let sssp = || Request::Sssp {
+                graph: "g".into(),
+                source,
+                target: None,
+                cache: CacheMode::Default,
+            };
+            let miss = row(sssp());
+            assert_eq!(miss, dijkstra(&g, source).distances);
+            assert_eq!(row(sssp()), miss, "hit replays the miss's row");
+            keys.push(ResultKey::Sssp {
+                source: source as u32,
+                target: None,
+            });
+        }
+        let khop = || Request::Khop {
+            graph: "g".into(),
+            source: 5,
+            k: 2,
+            cache: CacheMode::Default,
+        };
+        assert_eq!(row(khop()), row(khop()));
+        keys.push(ResultKey::Khop { source: 5, k: 2 });
+
+        let handle = session.inner.partition("g").get("g").expect("loaded");
+        let stored: u64 = keys
+            .iter()
+            .map(|k| handle.cached_rendered(k).expect("memoized").len() as u64)
+            .sum();
+        let gauge: u64 = session
+            .inner
+            .partitions
+            .iter()
+            .map(|p| p.resident_footprint().3)
+            .sum();
+        assert_eq!(handle.resident_results(), keys.len());
+        assert_eq!(gauge, stored);
     }
 
     #[test]

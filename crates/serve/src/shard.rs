@@ -419,9 +419,12 @@ fn execute_job(
     }
 }
 
-fn drain_wbuf(conn: &mut Conn) -> bool {
-    while !conn.wbuf.is_empty() {
-        match conn.stream.write(&conn.wbuf) {
+/// Writes `wbuf` to the socket until at most `keep` bytes remain, the
+/// socket would block, or the connection dies (`false`).
+fn drain_wbuf(conn: &mut Conn, keep: usize) -> bool {
+    while conn.wbuf.len() > keep {
+        let end = conn.wbuf.len() - keep;
+        match conn.stream.write(&conn.wbuf[..end]) {
             Ok(0) => {
                 conn.dead = true;
                 return false;
@@ -449,7 +452,7 @@ fn flush_conn(inner: &ServerInner, conn: &mut Conn) {
         return;
     }
     loop {
-        if !drain_wbuf(conn) {
+        if !drain_wbuf(conn, 0) {
             return;
         }
         if !conn.wbuf.is_empty() {
@@ -471,14 +474,19 @@ fn flush_conn(inner: &ServerInner, conn: &mut Conn) {
         let write_start = trace.as_deref().map(|c| c.now_ns());
         conn.wbuf.extend_from_slice(line.as_bytes());
         conn.wbuf.push(b'\n');
-        let ok = drain_wbuf(conn);
+        // A client may act on a reply as soon as its newline arrives —
+        // send `trace_dump` on another connection, say — so a traced
+        // reply's trace is committed before that last byte leaves: the
+        // write span ends once everything before it is handed to the
+        // socket.
+        let ok = drain_wbuf(conn, usize::from(trace.is_some()));
         if let Some(mut ctx) = trace {
             if let Some(s) = write_start {
                 ctx.record(Stage::Write, s, ctx.now_ns());
             }
             inner.tracing.finish(ctx);
         }
-        if !ok {
+        if !ok || !drain_wbuf(conn, 0) {
             return;
         }
     }

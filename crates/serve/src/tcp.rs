@@ -238,6 +238,54 @@ mod tests {
         server.stop();
     }
 
+    /// A memo hit splices the bytes its miss rendered: on the wire the
+    /// two lines differ only in the `cache` field.
+    #[test]
+    fn memo_hit_line_matches_the_miss_line() {
+        let server = LoopbackServer::start(ServerConfig::default());
+        let (mut stream, mut reader) = connect(server.addr);
+        let mut raw = |line: &str| {
+            stream.write_all(line.as_bytes()).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let mut out = String::new();
+            reader.read_line(&mut out).unwrap();
+            out
+        };
+        // One fresh graph per query, so each first answer compiles and
+        // reports `miss`. Node 4 is unreachable from node 1, so full rows
+        // carry `null` too.
+        for (i, query) in [
+            r#""op":"sssp","source":0"#,
+            r#""op":"khop","source":0,"k":1"#,
+            r#""op":"apsp_row","source":1"#,
+            r#""op":"sssp","source":0,"target":2"#,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let load = format!(
+                r#"{{"op":"load_graph","name":"g{i}","dimacs":"p sp 4 4\na 1 2 2\na 2 3 2\na 1 3 5\na 4 1 1\n"}}"#
+            );
+            assert!(raw(&load).contains(r#""status":"ok""#));
+            let line = format!(r#"{{{query},"graph":"g{i}","id":{i}}}"#);
+            let miss = raw(&line);
+            let hit = raw(&line);
+            assert_eq!(miss.matches(r#""cache":"miss""#).count(), 1, "{miss}");
+            assert_eq!(
+                miss.replace(r#""cache":"miss""#, r#""cache":"hit""#),
+                hit,
+                "{line}"
+            );
+        }
+        let v = parse_json(raw(r#"{"op":"sssp","graph":"g0","source":0}"#).trim()).unwrap();
+        let d = v.get("data").and_then(|d| d.get("distances")).unwrap();
+        assert_eq!(
+            crate::protocol::parse_distances(d).unwrap(),
+            vec![Some(0), Some(2), Some(4), None]
+        );
+        server.stop();
+    }
+
     /// A final request whose line is never newline-terminated (client
     /// half-closes after writing) is still answered.
     #[test]
