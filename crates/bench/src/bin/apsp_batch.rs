@@ -10,11 +10,9 @@
 //! `perf_check` can diff runs against
 //! `crates/bench/baselines/BENCH_apsp_batch.json`.
 
-use std::time::{Duration, Instant};
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sgl_bench::report::ReportSink;
+use sgl_bench::report::{append_json_line, measure, ReportSink};
 use sgl_core::apsp;
 use sgl_graph::Graph;
 use sgl_observe::Json;
@@ -22,43 +20,6 @@ use sgl_observe::Json;
 const N: usize = 256;
 const THREADS: usize = 4;
 const SAMPLES: usize = 9;
-
-fn measure(samples: usize, mut f: impl FnMut()) -> (Duration, Duration, Duration) {
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    let median = times[times.len() / 2];
-    let min = times[0];
-    let mean = times.iter().sum::<Duration>() / times.len() as u32;
-    (median, min, mean)
-}
-
-/// Same line format as the criterion shim's `SGL_BENCH_JSON` output, so
-/// `perf_check` consumes both without caring which harness measured.
-fn append_json_line(id: &str, median: Duration, min: Duration, mean: Duration, n: usize) {
-    let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
-        return;
-    };
-    let line = format!(
-        "{{\"group\":\"apsp_batch\",\"id\":\"{id}\",\"median_ns\":{},\"min_ns\":{},\"mean_ns\":{},\"samples\":{n}}}\n",
-        median.as_nanos(),
-        min.as_nanos(),
-        mean.as_nanos(),
-    );
-    let r = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = r {
-        eprintln!("SGL_BENCH_JSON: cannot append to {path:?}: {e}");
-    }
-}
 
 fn main() {
     let mut sink = ReportSink::new("apsp_batch");
@@ -86,22 +47,16 @@ fn main() {
     assert_eq!(batched.makespan_steps, rebuilt.makespan_steps);
     assert_eq!(batched.total_spikes, rebuilt.total_spikes);
 
-    let (batch_median, batch_min, batch_mean) = measure(SAMPLES, || {
+    let batch = measure(SAMPLES, || {
         std::hint::black_box(apsp::solve(&g, THREADS));
     });
-    let (rebuild_median, rebuild_min, rebuild_mean) = measure(SAMPLES, || {
+    let rebuild = measure(SAMPLES, || {
         std::hint::black_box(apsp::solve_rebuild(&g, THREADS));
     });
-    append_json_line("batch/256", batch_median, batch_min, batch_mean, SAMPLES);
-    append_json_line(
-        "rebuild/256",
-        rebuild_median,
-        rebuild_min,
-        rebuild_mean,
-        SAMPLES,
-    );
+    append_json_line("apsp_batch", "batch/256", &batch);
+    append_json_line("apsp_batch", "rebuild/256", &rebuild);
 
-    let speedup = rebuild_median.as_secs_f64() / batch_median.as_secs_f64().max(1e-12);
+    let speedup = rebuild.median.as_secs_f64() / batch.median.as_secs_f64().max(1e-12);
     sink.phase("readout");
     sink.table(
         "apsp_256",
@@ -109,15 +64,15 @@ fn main() {
         &[
             vec![
                 "batch".into(),
-                format!("{batch_median:?}"),
-                format!("{batch_min:?}"),
-                format!("{batch_mean:?}"),
+                format!("{:?}", batch.median),
+                format!("{:?}", batch.min),
+                format!("{:?}", batch.mean),
             ],
             vec![
                 "rebuild".into(),
-                format!("{rebuild_median:?}"),
-                format!("{rebuild_min:?}"),
-                format!("{rebuild_mean:?}"),
+                format!("{:?}", rebuild.median),
+                format!("{:?}", rebuild.min),
+                format!("{:?}", rebuild.mean),
             ],
         ],
     );
@@ -130,11 +85,11 @@ fn main() {
             ("threads", Json::UInt(THREADS as u64)),
             (
                 "batch_median_ns",
-                Json::UInt(batch_median.as_nanos() as u64),
+                Json::UInt(batch.median.as_nanos() as u64),
             ),
             (
                 "rebuild_median_ns",
-                Json::UInt(rebuild_median.as_nanos() as u64),
+                Json::UInt(rebuild.median.as_nanos() as u64),
             ),
             ("speedup", Json::Num(speedup)),
             ("distances_identical", Json::Bool(true)),

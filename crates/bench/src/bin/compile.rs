@@ -15,11 +15,11 @@
 //! so `perf_check` can diff runs against
 //! `crates/bench/baselines/BENCH_compile.json`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sgl_bench::report::ReportSink;
+use sgl_bench::report::{append_json_line, measure, ReportSink};
 use sgl_core::{khop_layered, sssp_pseudo::SpikingSssp};
 use sgl_graph::Graph;
 use sgl_observe::Json;
@@ -28,43 +28,6 @@ use sgl_snn::{LifParams, Network, NeuronId};
 const SIZES: [usize; 3] = [256, 1024, 4096];
 const K: u32 = 3;
 const SAMPLES: usize = 9;
-
-fn measure(samples: usize, mut f: impl FnMut()) -> (Duration, Duration, Duration) {
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    let median = times[times.len() / 2];
-    let min = times[0];
-    let mean = times.iter().sum::<Duration>() / times.len() as u32;
-    (median, min, mean)
-}
-
-/// Same line format as the criterion shim's `SGL_BENCH_JSON` output, so
-/// `perf_check` consumes both without caring which harness measured.
-fn append_json_line(id: &str, median: Duration, min: Duration, mean: Duration, n: usize) {
-    let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
-        return;
-    };
-    let line = format!(
-        "{{\"group\":\"compile\",\"id\":\"{id}\",\"median_ns\":{},\"min_ns\":{},\"mean_ns\":{},\"samples\":{n}}}\n",
-        median.as_nanos(),
-        min.as_nanos(),
-        mean.as_nanos(),
-    );
-    let r = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = r {
-        eprintln!("SGL_BENCH_JSON: cannot append to {path:?}: {e}");
-    }
-}
 
 /// The pre-bulk §3 construction, verbatim: one `add_neuron` per node, one
 /// `connect` per synapse, then the forced `csr()` copy every engine run
@@ -149,20 +112,15 @@ fn bench_pair(
     let inc_mem = i.memory_bytes();
     drop((b, i));
 
-    let (bm, bmin, bmean) = measure(SAMPLES, || {
+    let bulk_t = measure(SAMPLES, || {
         std::hint::black_box(bulk());
     });
-    let (im, imin, imean) = measure(SAMPLES, || {
+    let inc_t = measure(SAMPLES, || {
         std::hint::black_box(incremental());
     });
-    append_json_line(&format!("{label}_bulk/{n}"), bm, bmin, bmean, SAMPLES);
-    append_json_line(
-        &format!("{label}_incremental/{n}"),
-        im,
-        imin,
-        imean,
-        SAMPLES,
-    );
+    let (bm, im) = (bulk_t.median, inc_t.median);
+    append_json_line("compile", &format!("{label}_bulk/{n}"), &bulk_t);
+    append_json_line("compile", &format!("{label}_incremental/{n}"), &inc_t);
     sink.section(
         &format!("{label}_{n}"),
         Json::obj(vec![

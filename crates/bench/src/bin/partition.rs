@@ -11,26 +11,24 @@
 //! any timing.
 //!
 //! The superstep loop's thread count is swept on top: `p{2,4,8}`
-//! partitions at `t{1,2,4}` worker threads, every combination asserted
+//! partitions at `t{2,4}` worker threads, every combination asserted
 //! bit-identical to the event run before timing, with per-worker balance
 //! (imbalance ratio, max barrier wait) read back through
-//! [`PartitionPlan::run_with_stats_threaded`].
+//! [`PartitionPlan::run_with_stats_threaded`]. One thread is not timed
+//! again: `p<K>` already is that call (one worker, run inline), so its
+//! median anchors the sweep's `vs_t1` column.
 //!
 //! Emits `SGL_BENCH_JSON` lines (`group: "partition"`, ids `event/<n>`,
 //! `p1/<n>` ... `p8/<n>`, and `p<K>t<T>/<n>` for the threaded sweep) for
 //! `perf_check`, which enforces intra-run rules: `p1/<n>` within 10% of
 //! `event/<n>` (the partition machinery at one partition is bookkeeping
 //! only), each doubling of the partition count at most 2x the previous
-//! rung (cut overhead grows smoothly, it does not cliff), `p<K>t1`
-//! within 5% of `p<K>` (both run the one superstep loop with one inline
-//! worker, so only dispatch may separate them),
-//! and — on a multi-core runner at n >= 10^5 — `p<K>t<T>` no slower
-//! than `p<K>t1` (the worker pool helps or stays out of the way). The
-//! cut-traffic and worker-balance tables land in `BENCH_partition.json`.
+//! rung (cut overhead grows smoothly, it does not cliff), and — on a
+//! multi-core runner at n >= 10^5 — `p<K>t<T>` no slower than `p<K>`
+//! (the worker pool helps or stays out of the way). The cut-traffic and
+//! worker-balance tables land in `BENCH_partition.json`.
 
-use std::time::{Duration, Instant};
-
-use sgl_bench::report::ReportSink;
+use sgl_bench::report::{append_json_line, measure, ReportSink};
 use sgl_bench::synth;
 use sgl_core::sssp_pseudo::SpikingSssp;
 use sgl_observe::Json;
@@ -39,9 +37,9 @@ use sgl_snn::partition::{PartitionPlan, PartitionedEngine};
 use sgl_snn::{Network, NeuronId};
 
 const PART_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Worker-thread counts for the threaded sweep (t1 runs the superstep
-/// loop inline, with no pool, and anchors the speedup column).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// Worker-thread counts for the threaded sweep. One thread is the plain
+/// `p<K>` row, which anchors the speedup column.
+const THREAD_COUNTS: [usize; 2] = [2, 4];
 const SEED: u64 = 2021;
 
 /// (n, layers, fanout, max edge length, timing samples). Width is
@@ -52,43 +50,6 @@ const SIZES: [(usize, usize, usize, u64, usize); 3] = [
     (100_000, 100, 3, 4, 7),
     (1_000_000, 200, 3, 4, 3),
 ];
-
-fn measure(samples: usize, mut f: impl FnMut()) -> (Duration, Duration, Duration) {
-    f(); // warmup: keep cold page faults out of the sample set
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    let median = times[times.len() / 2];
-    let min = times[0];
-    let mean = times.iter().sum::<Duration>() / times.len() as u32;
-    (median, min, mean)
-}
-
-/// Same line format as the criterion shim's `SGL_BENCH_JSON` output.
-fn append_json_line(id: &str, median: Duration, min: Duration, mean: Duration, n: usize) {
-    let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
-        return;
-    };
-    let line = format!(
-        "{{\"group\":\"partition\",\"id\":\"{id}\",\"median_ns\":{},\"min_ns\":{},\"mean_ns\":{},\"samples\":{n}}}\n",
-        median.as_nanos(),
-        min.as_nanos(),
-        mean.as_nanos(),
-    );
-    let r = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = r {
-        eprintln!("SGL_BENCH_JSON: cannot append to {path:?}: {e}");
-    }
-}
 
 /// The run configuration `SpikingSssp::solve` uses: quiescence-stopped
 /// with the (n-1)·U budget every finite distance fits under.
@@ -141,25 +102,20 @@ fn main() {
             })
             .collect();
         let mut rows: Vec<Vec<String>> = Vec::new();
-        let (event_median, event_min, event_mean) = measure(samples, || {
+        let event_t = measure(samples, || {
             std::hint::black_box(run_event(&net, &config));
         });
-        append_json_line(
-            &format!("event/{n}"),
-            event_median,
-            event_min,
-            event_mean,
-            samples,
-        );
+        append_json_line("partition", &format!("event/{n}"), &event_t);
+        let event_median = event_t.median;
         rows.push(vec![
             "event".into(),
-            "-".into(),
             "-".into(),
             "-".into(),
             format!("{event_median:?}"),
             "1.00".into(),
         ]);
 
+        let mut p_medians = Vec::with_capacity(plans.len());
         for (plan, &parts) in plans.iter().zip(&PART_COUNTS) {
             let (result, stats) = plan
                 .run_with_stats_threaded(&[NeuronId(0)], &config, 1)
@@ -168,40 +124,41 @@ fn main() {
                 event, result,
                 "partitioned@{parts} diverged from the event engine at n = {n}"
             );
-            let (median, min, mean) = measure(samples, || {
+            let timing = measure(samples, || {
                 std::hint::black_box(
                     plan.run_with_stats_threaded(&[NeuronId(0)], &config, 1)
                         .unwrap(),
                 );
             });
-            append_json_line(&format!("p{parts}/{n}"), median, min, mean, samples);
+            append_json_line("partition", &format!("p{parts}/{n}"), &timing);
+            let median = timing.median;
+            p_medians.push(median);
             let rel = median.as_secs_f64() / event_median.as_secs_f64().max(1e-12);
             println!(
-                "  partitioned@{parts}: cut {} edges, {} messages ({} spilled), {median:?} ({rel:.2}x event)",
-                stats.cut_edges, stats.cut_messages, stats.spilled_messages
+                "  partitioned@{parts}: cut {} edges, {} messages, {median:?} ({rel:.2}x event)",
+                stats.cut_edges, stats.cut_messages
             );
             rows.push(vec![
                 format!("p{parts}"),
                 stats.cut_edges.to_string(),
                 stats.cut_messages.to_string(),
-                stats.spilled_messages.to_string(),
                 format!("{median:?}"),
                 format!("{rel:.2}"),
             ]);
         }
 
-        // Threaded sweep: same plans, worker pool at 1/2/4 threads.
-        // Bit-identity is asserted per combination before timing, and the
-        // stats run doubles as the worker-balance readout.
+        // Threaded sweep: same plans, worker pool at 2/4 threads, each
+        // against its plan's one-worker `p<K>` median. Bit-identity is
+        // asserted per combination before timing, and the stats run
+        // doubles as the worker-balance readout.
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
         let mut trows: Vec<Vec<String>> = Vec::new();
-        for (plan, &parts) in plans.iter().zip(&PART_COUNTS) {
+        for ((plan, &parts), &t1_median) in plans.iter().zip(&PART_COUNTS).zip(&p_medians) {
             if parts == 1 {
                 continue; // a single partition always runs inline
             }
-            let mut t1_median = Duration::ZERO;
             for &threads in &THREAD_COUNTS {
                 let (result, stats) = plan
                     .run_with_stats_threaded(&[NeuronId(0)], &config, threads)
@@ -210,22 +167,14 @@ fn main() {
                     event, result,
                     "partitioned@{parts} t{threads} diverged from the event engine at n = {n}"
                 );
-                let (median, min, mean) = measure(samples, || {
+                let timing = measure(samples, || {
                     std::hint::black_box(
                         plan.run_with_stats_threaded(&[NeuronId(0)], &config, threads)
                             .unwrap(),
                     );
                 });
-                append_json_line(
-                    &format!("p{parts}t{threads}/{n}"),
-                    median,
-                    min,
-                    mean,
-                    samples,
-                );
-                if threads == 1 {
-                    t1_median = median;
-                }
+                append_json_line("partition", &format!("p{parts}t{threads}/{n}"), &timing);
+                let median = timing.median;
                 let rel = median.as_secs_f64() / t1_median.as_secs_f64().max(1e-12);
                 let max_wait_us = stats
                     .workers
@@ -235,7 +184,7 @@ fn main() {
                     .unwrap_or(0)
                     / 1_000;
                 println!(
-                    "  partitioned@{parts} t{threads}: {median:?} ({rel:.2}x t1, \
+                    "  partitioned@{parts} t{threads}: {median:?} ({rel:.2}x p{parts}, \
                      imbalance max {:.2}, max barrier wait {max_wait_us}us)",
                     stats.imbalance_max
                 );
@@ -253,14 +202,7 @@ fn main() {
         sink.phase("readout");
         sink.table(
             &format!("cut_traffic_{n}"),
-            &[
-                "engine",
-                "cut_edges",
-                "cut_messages",
-                "spilled",
-                "median",
-                "vs_event",
-            ],
+            &["engine", "cut_edges", "cut_messages", "median", "vs_event"],
             &rows,
         );
         sink.table(

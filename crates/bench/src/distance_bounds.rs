@@ -8,6 +8,9 @@ use sgl_distance::bounds::{bellman_ford_khop_lb, fit_exponent, input_scan_lb};
 use sgl_distance::scan::scan;
 use sgl_distance::Placement;
 use sgl_graph::generators;
+use sgl_snn::engine::par_map;
+
+use crate::parallel::default_threads;
 
 /// One (m, c) point of the Theorem 6.1 scan experiment.
 #[derive(Clone, Debug)]
@@ -36,10 +39,12 @@ pub fn scan_sweep() -> Vec<ScanRow> {
             }
         }
     }
-    crate::parallel::par_map(
-        &points,
-        crate::parallel::default_threads(),
-        |&(placement, m, c)| {
+    par_map(
+        points.len(),
+        default_threads(),
+        || (),
+        |(), i| {
+            let (placement, m, c) = points[i];
             let r = scan(m, c, placement);
             ScanRow {
                 m,

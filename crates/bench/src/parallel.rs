@@ -1,53 +1,9 @@
-//! Parallel parameter sweeps for the experiment harness.
+//! Worker count for the experiment harness's parallel sweeps.
 //!
 //! Experiment points are independent (each derives its own RNG seed), so
-//! sweeps fan out across scoped worker threads pulling indices from a
-//! shared atomic counter; results land in per-slot cells, preserving point
-//! order so tables stay deterministic regardless of scheduling.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Applies `f` to every item on up to `threads` worker threads, returning
-/// results in input order. Falls back to a sequential loop for a single
-/// thread or tiny inputs.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    // One mutex per slot: writers never contend (each index is claimed by
-    // exactly one worker), so the locks only pay an uncontended CAS.
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(r);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every slot filled")
-        })
-        .collect()
-}
+//! sweeps fan out through [`sgl_snn::engine::par_map`], which returns
+//! results in point order — tables stay deterministic regardless of
+//! scheduling.
 
 /// Default worker count for sweeps: the machine's parallelism, capped so
 /// laptop runs stay polite.
@@ -62,37 +18,6 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, 4, |&x| x * x);
-        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_fallback() {
-        let items = vec![1, 2, 3];
-        assert_eq!(par_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn empty_input() {
-        let items: Vec<u32> = vec![];
-        assert!(par_map(&items, 4, |&x| x).is_empty());
-    }
-
-    #[test]
-    fn parallel_equals_sequential_for_seeded_work() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let seeds: Vec<u64> = (0..32).collect();
-        let work = |&s: &u64| {
-            let mut rng = StdRng::seed_from_u64(s);
-            (0..100).map(|_| rng.gen_range(0..1000u64)).sum::<u64>()
-        };
-        assert_eq!(par_map(&seeds, 8, work), par_map(&seeds, 1, work));
-    }
 
     #[test]
     fn default_threads_is_positive() {

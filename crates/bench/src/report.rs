@@ -8,6 +8,7 @@
 //! `artifacts/` holds the committed copies.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use sgl_core::NeuromorphicCost;
 use sgl_observe::{table_json, Json, PhaseProfiler, RunReport};
@@ -76,6 +77,69 @@ impl ReportSink {
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         eprintln!("report: {}", path.display());
         path
+    }
+}
+
+/// Wall-clock statistics of one timed closure.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Median sample.
+    pub median: Duration,
+    /// Fastest sample.
+    pub min: Duration,
+    /// Mean over the samples.
+    pub mean: Duration,
+    /// Samples taken (the warm-up call is not one).
+    pub samples: usize,
+}
+
+/// Times `f` over `samples` calls after one untimed warm-up call, which
+/// keeps cold page faults and first-touch allocation out of the sample
+/// set.
+///
+/// # Panics
+/// Panics if `samples` is zero.
+pub fn measure(samples: usize, mut f: impl FnMut()) -> Timing {
+    assert!(samples > 0, "measure needs at least one sample");
+    f();
+    let mut times: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    Timing {
+        median: times[times.len() / 2],
+        min: times[0],
+        mean: times.iter().sum::<Duration>() / times.len() as u32,
+        samples,
+    }
+}
+
+/// Appends `timing` as one `SGL_BENCH_JSON` line under `group`/`id`, in
+/// the criterion shim's format, so `perf_check` reads both without caring
+/// which harness measured. Does nothing when `SGL_BENCH_JSON` is unset; a
+/// write failure is reported on stderr, not fatal.
+pub fn append_json_line(group: &str, id: &str, timing: &Timing) {
+    let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
+        return;
+    };
+    let line = format!(
+        "{{\"group\":\"{group}\",\"id\":\"{id}\",\"median_ns\":{},\"min_ns\":{},\"mean_ns\":{},\"samples\":{}}}\n",
+        timing.median.as_nanos(),
+        timing.min.as_nanos(),
+        timing.mean.as_nanos(),
+        timing.samples,
+    );
+    let r = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+    if let Err(e) = r {
+        eprintln!("SGL_BENCH_JSON: cannot append to {path:?}: {e}");
     }
 }
 

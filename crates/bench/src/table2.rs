@@ -9,6 +9,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sgl_circuits::{max_brute_force, max_wired_or, CircuitStats};
+use sgl_snn::engine::par_map;
+
+use crate::parallel::default_threads;
 
 /// Measured profile of one (design, d, λ) point.
 #[derive(Clone, Debug)]
@@ -39,10 +42,12 @@ pub fn sweep(seed: u64) -> Vec<Row> {
             }
         }
     }
-    crate::parallel::par_map(
-        &points,
-        crate::parallel::default_threads(),
-        |&(design, d, lambda)| {
+    par_map(
+        points.len(),
+        default_threads(),
+        || (),
+        |(), i| {
+            let (design, d, lambda) = points[i];
             let circuit = match design {
                 "wired-or" => max_wired_or::build_max(d, lambda),
                 _ => max_brute_force::build_max(d, lambda),

@@ -21,7 +21,7 @@
 use crate::accounting::NeuromorphicCost;
 use crate::sssp_pseudo::SpikingSssp;
 use sgl_graph::{Graph, Len};
-use sgl_snn::engine::{BatchRunner, RunConfig, RunSpec};
+use sgl_snn::engine::{par_map, BatchRunner, RunConfig, RunSpec};
 use sgl_snn::NeuronId;
 
 /// Result of an all-pairs run.
@@ -85,37 +85,17 @@ pub fn solve(g: &Graph, threads: usize) -> ApspRun {
 #[must_use]
 pub fn solve_rebuild(g: &Graph, threads: usize) -> ApspRun {
     assert!(threads >= 1);
-    let n = g.n();
-    let mut distances: Vec<Vec<Option<Len>>> = vec![Vec::new(); n];
-    let mut per_source: Vec<(u64, u64)> = vec![(0, 0); n]; // (steps, spikes)
-
-    // Work-stealing over sources (an atomic claim index), mirroring the
-    // batch runner: static chunking let one slow wavefront stall a whole
-    // chunk of finished workers.
-    // A finished source's row: (distances, steps, spikes).
-    type SourceSlot = std::sync::Mutex<(Vec<Option<Len>>, u64, u64)>;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<SourceSlot> = (0..n)
-        .map(|_| std::sync::Mutex::new((Vec::new(), 0, 0)))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let s = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if s >= n {
-                    break;
-                }
-                let run = SpikingSssp::new(g, s).solve_all().expect("simulation");
-                *slots[s].lock().expect("apsp slot poisoned") =
-                    (run.distances, run.spike_time, run.cost.spike_events);
-            });
-        }
-    });
-    for (s, slot) in slots.into_iter().enumerate() {
-        let (dist, steps, spikes) = slot.into_inner().expect("apsp slot poisoned");
-        distances[s] = dist;
-        per_source[s] = (steps, spikes);
-    }
+    let (distances, per_source): (Vec<_>, Vec<_>) = par_map(
+        g.n(),
+        threads,
+        || (),
+        |(), s| {
+            let run = SpikingSssp::new(g, s).solve_all().expect("simulation");
+            (run.distances, (run.spike_time, run.cost.spike_events))
+        },
+    )
+    .into_iter()
+    .unzip();
     aggregate(g, distances, &per_source)
 }
 

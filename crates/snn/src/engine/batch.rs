@@ -24,13 +24,14 @@
 //!   bit-identical to fresh ones (a proptest in `tests/batch_identity.rs`
 //!   holds all three engines to this).
 //! * [`BatchRunner`] — executes a set of [`RunSpec`]s against one shared
-//!   network across a worker pool; each worker owns one scratch and
+//!   network through [`super::par_map`]: each worker owns one scratch and
 //!   claims runs off an atomic work-stealing index, so a slow wavefront
 //!   never stalls the others. The engine is prepared once per batch,
 //!   not once per run.
-//! * [`run_jobs`] — the same pool for heterogeneous jobs (each with its
-//!   own network), used by the §7 approximate k-hop ensemble where every
-//!   scale rounds edge lengths differently.
+//! * [`run_jobs`] — the same `par_map` fan-out, one scratch per worker,
+//!   for heterogeneous jobs (each with its own network, prepared per
+//!   job), used by the §7 approximate k-hop ensemble where every scale
+//!   rounds edge lengths differently.
 //!
 //! Engine selection is per batch via [`EngineChoice`]: `Auto` picks the
 //! event engine unless the network forces dense stepping (spontaneous
@@ -39,11 +40,10 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use sgl_observe::{BatchSummary, NullObserver, RunObserver};
 
+use super::sync::par_map;
 use super::wheel::TimeWheel;
 use super::{BitplaneEngine, DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, RunResult};
 use crate::error::SnnError;
@@ -507,12 +507,11 @@ impl<'a> BatchRunner<'a> {
     /// one scratch across the runs it claims.
     ///
     /// # Errors
-    /// Same failure modes as [`super::Engine::run`] (the first failing
-    /// run's error is returned; specs are independent, so which one
-    /// surfaces is unspecified when several fail).
+    /// Same failure modes as [`super::Engine::run`] (when several specs
+    /// fail, the lowest-index failure is returned).
     pub fn run(&self, specs: &[RunSpec]) -> Result<Vec<RunResult>, SnnError> {
         let prepared = self.choice.prepare(self.net)?;
-        drive(specs.len(), self.threads, |i, scratch| {
+        par_map(specs.len(), self.threads, RunScratch::new, |scratch, i| {
             let spec = &specs[i];
             prepared.run(
                 &spec.initial_spikes,
@@ -521,6 +520,8 @@ impl<'a> BatchRunner<'a> {
                 &mut NullObserver,
             )
         })
+        .into_iter()
+        .collect()
     }
 
     /// [`Self::run`] plus a [`BatchSummary`] of the per-run makespan and
@@ -539,7 +540,7 @@ impl<'a> BatchRunner<'a> {
 }
 
 /// Executes heterogeneous `(network, spec)` jobs over the same
-/// work-stealing pool and scratch recycling as [`BatchRunner`]. The
+/// work-stealing fan-out and scratch recycling as [`BatchRunner`]. The
 /// engine is prepared per job, since every job may carry a different
 /// network — the approximate k-hop ensemble runs
 /// one differently-rounded network per scale.
@@ -551,7 +552,7 @@ pub fn run_jobs(
     threads: usize,
     choice: EngineChoice,
 ) -> Result<Vec<RunResult>, SnnError> {
-    drive(jobs.len(), threads, |i, scratch| {
+    par_map(jobs.len(), threads, RunScratch::new, |scratch, i| {
         let (net, spec) = &jobs[i];
         choice.prepare(net)?.run(
             &spec.initial_spikes,
@@ -560,6 +561,8 @@ pub fn run_jobs(
             &mut NullObserver,
         )
     })
+    .into_iter()
+    .collect()
 }
 
 /// Rolls a slice of results into a [`BatchSummary`] (makespan and spike
@@ -576,50 +579,6 @@ pub fn summarize(results: &[RunResult]) -> BatchSummary {
         );
     }
     summary
-}
-
-/// The worker pool: `workers` threads claim indices `0..count` off an
-/// atomic counter (work stealing — a slow run never stalls the others,
-/// unlike static chunking), each with one recycled scratch. Results land
-/// in per-index slots; the pool is scoped, so one batch costs `workers`
-/// thread spawns total, not one per run.
-fn drive<F>(count: usize, threads: usize, job: F) -> Result<Vec<RunResult>, SnnError>
-where
-    F: Fn(usize, &mut RunScratch) -> Result<RunResult, SnnError> + Sync,
-{
-    let workers = threads.max(1).min(count.max(1));
-    if workers == 1 {
-        let mut scratch = RunScratch::new();
-        return (0..count).map(|i| job(i, &mut scratch)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<RunResult, SnnError>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = RunScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    // Each slot is written exactly once, by the worker
-                    // that claimed its index; the mutex exists for `Sync`.
-                    *slots[i].lock().expect("batch slot poisoned") = Some(job(i, &mut scratch));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("batch slot poisoned")
-                .expect("every index below `count` was claimed")
-        })
-        .collect()
 }
 
 #[cfg(test)]

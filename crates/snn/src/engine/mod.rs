@@ -24,6 +24,7 @@ pub use dense::DenseEngine;
 pub use event::EventEngine;
 pub use parallel::{ParallelDenseEngine, DEFAULT_MIN_CHUNK};
 pub use stepper::Stepper;
+pub use sync::par_map;
 
 // Batch aggregation, re-exported alongside the runner that produces it.
 pub use sgl_observe::BatchSummary;

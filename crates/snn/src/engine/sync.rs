@@ -4,6 +4,10 @@
 //! threaded partitioned driver meets at the same barrier design, so it
 //! lives here now. See the module docs of [`super::parallel`] for the
 //! measurements that motivated the tiered wait.
+//!
+//! [`par_map`] is the one scoped fan-out for independent jobs: batch
+//! runs, per-partition plan builds, per-source APSP rebuilds and the
+//! experiment sweeps all go through it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -86,10 +90,111 @@ impl SpinBarrier {
     }
 }
 
+/// Applies `job` to every index in `0..count` on up to `threads` scoped
+/// workers and returns the results in index order.
+///
+/// Workers claim indices off one atomic counter (work stealing: a slow
+/// job never stalls a chunk of finished ones), and each builds one
+/// `init()` state that it reuses across every index it claims — a batch
+/// worker's recycled engine scratch, say. One worker (`threads <= 1`, or
+/// at most one index) runs inline on the calling thread with no spawn.
+///
+/// # Panics
+/// Re-raises the first worker panic on the calling thread.
+pub fn par_map<S, R: Send>(
+    count: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, count.max(1));
+    if workers == 1 {
+        let mut state = init();
+        return (0..count).map(|i| job(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            return mine;
+                        }
+                        mine.push((i, job(&mut state, i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn par_map_preserves_order() {
+        let out = par_map(100, 4, || (), |(), i| i * i);
+        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_single_thread_runs_inline() {
+        let caller = std::thread::current().id();
+        let out = par_map(3, 1, || (), |(), i| (i + 1, std::thread::current().id()));
+        assert_eq!(out.iter().map(|&(v, _)| v).collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(out.iter().all(|&(_, id)| id == caller));
+    }
+
+    #[test]
+    fn par_map_empty_input() {
+        assert!(par_map(0, 4, || (), |(), i| i).is_empty());
+    }
+
+    #[test]
+    fn par_map_parallel_equals_sequential_for_seeded_work() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let work = |(): &mut (), s: usize| {
+            let mut rng = StdRng::seed_from_u64(s as u64);
+            (0..100).map(|_| rng.gen_range(0..1000u64)).sum::<u64>()
+        };
+        assert_eq!(par_map(32, 8, || (), work), par_map(32, 1, || (), work));
+    }
+
+    #[test]
+    fn par_map_builds_one_state_per_worker() {
+        for (threads, most) in [(4, 4), (1, 1)] {
+            let inits = AtomicUsize::new(0);
+            let out = par_map(
+                100,
+                threads,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |state, i| (*state, i),
+            );
+            let built = inits.load(Ordering::Relaxed);
+            assert!(
+                (1..=most).contains(&built),
+                "threads = {threads}: {built} inits"
+            );
+            assert!(out.iter().all(|&(state, _)| state < built));
+            assert_eq!(
+                out.iter().map(|&(_, i)| i).collect::<Vec<_>>(),
+                (0..100).collect::<Vec<_>>()
+            );
+        }
+    }
 
     #[test]
     fn barrier_synchronises_generations() {

@@ -1,33 +1,22 @@
-//! Inter-partition spike channels: bounded SPSC rings with a spill list.
+//! The inter-partition spike message.
 //!
-//! One channel exists per ordered partition pair `(from, to)` with at
-//! least one cut synapse. The owner of a firing source pushes one
-//! [`SpikeEvent`] per cut synapse during the compute phase; the receiving
-//! partition drains the channel during the exchange phase of the same
-//! bulk-synchronous superstep. The ring follows the `serve::ring`
-//! handoff pattern — a fixed slot array with monotone atomic head/tail
-//! cursors and one uncontended `Mutex<Option<T>>` per slot (this crate
-//! forbids `unsafe`, and the lock is only ever taken by the one producer
-//! or the one consumer).
-//!
-//! Unlike the serve ring, a full push must not drop work: spikes that
-//! miss the ring land in a spill list. Within one superstep the consumer
-//! never drains concurrently with pushes, so once the ring fills it
-//! *stays* full for the rest of the compute phase — every later event of
-//! the tick takes the spill path, and draining ring-then-spill preserves
-//! exact push order. That ordering is what keeps the receiver's k-way
-//! merge (and therefore floating-point accumulation order) bit-identical
-//! to a monolithic run.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! One mailbox exists per ordered partition pair `(from, to)` with at
+//! least one cut synapse, created per run by the superstep driver. The
+//! owner of a firing source appends one [`SpikeEvent`] per cut synapse
+//! during the compute phase; the receiving partition takes the whole
+//! mailbox during the merge phase of the same bulk-synchronous
+//! superstep. The barrier between the two phases orders every append
+//! before every take, so a mailbox is a plain `Vec` behind a lock that is
+//! never contended, and its events stay in push order — the order the
+//! receiver's k-way merge (and therefore floating-point accumulation
+//! order) relies on to stay bit-identical to a monolithic run.
 
 use crate::types::Time;
 
 /// One boundary-synapse delivery in flight between partitions.
 ///
 /// `src` is the *global* id of the firing neuron: the receiver merges
-/// inbound channel streams with its own intra-partition routing by global
+/// inbound mailbox streams with its own intra-partition routing by global
 /// source id, which reproduces the monolithic engines' (sorted firing id)
 /// × (CSR synapse order) scheduling order exactly.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,191 +29,4 @@ pub struct SpikeEvent {
     pub target_local: u32,
     /// Synaptic weight delivered on arrival.
     pub weight: f64,
-}
-
-/// Smallest ring allocated per channel, even for single-edge cuts.
-const MIN_RING_CAPACITY: usize = 16;
-
-/// Largest ring allocated per channel; wider cuts spill past this.
-const MAX_RING_CAPACITY: usize = 16_384;
-
-/// Ring capacity for a channel carrying `pair_cut_edges` boundary
-/// synapses. A source fires at most once per tick, so per-tick traffic is
-/// bounded by the static cut size; sizing to it (within bounds) makes the
-/// spill path cold for all but extreme all-cut topologies.
-pub(crate) fn ring_capacity(pair_cut_edges: u64) -> usize {
-    (pair_cut_edges as usize).clamp(MIN_RING_CAPACITY, MAX_RING_CAPACITY)
-}
-
-/// Heap bytes one ring slot costs, for plan memory accounting.
-pub(crate) fn slot_bytes() -> usize {
-    std::mem::size_of::<Mutex<Option<SpikeEvent>>>()
-}
-
-/// A bounded single-producer single-consumer spike channel between one
-/// ordered pair of partitions, with lossless spill on overflow.
-#[derive(Debug)]
-pub struct SpikeChannel {
-    slots: Vec<Mutex<Option<SpikeEvent>>>,
-    /// Next slot the producer writes (monotone; slot = index % capacity).
-    tail: AtomicUsize,
-    /// Next slot the consumer reads (monotone).
-    head: AtomicUsize,
-    /// Events that arrived while the ring was full, in push order.
-    spill: Mutex<Vec<SpikeEvent>>,
-    /// Cumulative events pushed over the channel's lifetime.
-    messages: AtomicU64,
-    /// Cumulative events that took the spill path.
-    spilled: AtomicU64,
-}
-
-impl SpikeChannel {
-    /// A channel whose ring holds at most `capacity` in-flight events.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be positive");
-        Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
-            spill: Mutex::new(Vec::new()),
-            messages: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
-        }
-    }
-
-    /// Producer side: enqueues `ev` for the receiving partition. Never
-    /// loses work — a full ring diverts to the spill list.
-    ///
-    /// # Panics
-    /// Panics if a slot or spill lock is poisoned.
-    pub fn push(&self, ev: SpikeEvent) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() {
-            self.spilled.fetch_add(1, Ordering::Relaxed);
-            self.spill.lock().expect("channel spill").push(ev);
-            return;
-        }
-        *self.slots[tail % self.slots.len()]
-            .lock()
-            .expect("channel slot") = Some(ev);
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Consumer side: appends every in-flight event to `out` in push
-    /// order (ring first, then spill — see the module docs for why that
-    /// is push order) and returns how many arrived.
-    ///
-    /// # Panics
-    /// Panics if a slot or spill lock is poisoned.
-    pub fn drain_into(&self, out: &mut Vec<SpikeEvent>) -> usize {
-        let before = out.len();
-        loop {
-            let head = self.head.load(Ordering::Relaxed);
-            let tail = self.tail.load(Ordering::Acquire);
-            if head == tail {
-                break;
-            }
-            let ev = self.slots[head % self.slots.len()]
-                .lock()
-                .expect("channel slot")
-                .take();
-            self.head.store(head.wrapping_add(1), Ordering::Release);
-            out.extend(ev);
-        }
-        out.append(&mut self.spill.lock().expect("channel spill"));
-        out.len() - before
-    }
-
-    /// Whether no events are in flight.
-    ///
-    /// # Panics
-    /// Panics if the spill lock is poisoned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        let pending = self
-            .tail
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.head.load(Ordering::Acquire));
-        pending == 0 && self.spill.lock().expect("channel spill").is_empty()
-    }
-
-    /// Cumulative events pushed over the channel's lifetime.
-    #[must_use]
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative events that missed the ring and took the spill path.
-    #[must_use]
-    pub fn spilled(&self) -> u64 {
-        self.spilled.load(Ordering::Relaxed)
-    }
-
-    /// Ring slot count (the bounded part of the channel).
-    #[must_use]
-    pub fn ring_capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(src: u32, due: Time) -> SpikeEvent {
-        SpikeEvent {
-            src,
-            due,
-            target_local: src,
-            weight: 1.0,
-        }
-    }
-
-    #[test]
-    fn drains_in_push_order() {
-        let ch = SpikeChannel::new(4);
-        for i in 0..4 {
-            ch.push(ev(i, 1));
-        }
-        let mut out = Vec::new();
-        assert_eq!(ch.drain_into(&mut out), 4);
-        let srcs: Vec<u32> = out.iter().map(|e| e.src).collect();
-        assert_eq!(srcs, vec![0, 1, 2, 3]);
-        assert!(ch.is_empty());
-        assert_eq!(ch.messages(), 4);
-        assert_eq!(ch.spilled(), 0);
-    }
-
-    #[test]
-    fn overflow_spills_losslessly_and_keeps_order() {
-        let ch = SpikeChannel::new(2);
-        for i in 0..7 {
-            ch.push(ev(i, 1));
-        }
-        assert_eq!(ch.spilled(), 5);
-        let mut out = Vec::new();
-        assert_eq!(ch.drain_into(&mut out), 7);
-        let srcs: Vec<u32> = out.iter().map(|e| e.src).collect();
-        assert_eq!(srcs, (0..7).collect::<Vec<_>>());
-        assert!(ch.is_empty());
-        // Slots recycle after a drain.
-        ch.push(ev(9, 2));
-        out.clear();
-        assert_eq!(ch.drain_into(&mut out), 1);
-        assert_eq!(out[0].src, 9);
-        assert_eq!(ch.messages(), 8);
-    }
-
-    #[test]
-    fn capacity_policy_tracks_cut_width_within_bounds() {
-        assert_eq!(ring_capacity(0), MIN_RING_CAPACITY);
-        assert_eq!(ring_capacity(100), 100);
-        assert_eq!(ring_capacity(1 << 30), MAX_RING_CAPACITY);
-    }
 }

@@ -15,12 +15,12 @@
 //! [`SpinBarrier`] three times:
 //!
 //! 1. **open** — the coordinator publishes the superstep time; workers
-//!    run the compute phase for their partitions and push cut spikes
-//!    onto the SPSC channel rings. Each channel has exactly one producer
-//!    (the owner of its source partition) and pushes happen strictly
-//!    before the next crossing, so the ring contract holds untouched.
-//! 2. **publish** — every push is now visible; workers run the merge
-//!    phase (drain inbound channels, k-way merge into their wheels) and
+//!    run the compute phase for their partitions and append cut spikes
+//!    to the destination mailboxes. Each mailbox has exactly one
+//!    producer (the owner of its source partition), and every append
+//!    happens strictly before the next crossing.
+//! 2. **publish** — every append is now visible; workers run the merge
+//!    phase (take inbound mailboxes, k-way merge into their wheels) and
 //!    write their per-superstep outputs into their cell.
 //! 3. **close** — outputs are visible; the coordinator folds them.
 //!
@@ -35,11 +35,12 @@
 //! happens-before edges (release on `generation`, acquire in `wait`), so
 //! no data race can reorder any of it.
 //!
-//! The cells are `Mutex`-wrapped only to satisfy `Sync` under this
-//! crate's `#![forbid(unsafe_code)]`: a cell is written by its worker
-//! between crossings 1 and 3 and read by the coordinator after crossing
-//! 3, so the locks are never contended — the same pattern as the
-//! parallel dense engine's mailboxes.
+//! The cells and the cut-spike mailboxes are `Mutex`-wrapped only to
+//! satisfy `Sync` under this crate's `#![forbid(unsafe_code)]`: a cell
+//! is written by its worker between crossings 1 and 3 and read by the
+//! coordinator after crossing 3, and a mailbox is appended to before
+//! crossing 2 and taken after it, so the locks are never contended — the
+//! same pattern as the parallel dense engine's mailboxes.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,9 +55,8 @@ use crate::engine::{Recorder, RunConfig, RunResult, StopReason};
 use crate::error::SnnError;
 use crate::types::{NeuronId, Time};
 
-use super::channel::SpikeChannel;
 use super::engine::{
-    aggregate_scheduler, emit_cut_traffic, merge_schedule, publish_cut, PartState,
+    aggregate_scheduler, emit_cut_traffic, merge_schedule, publish_cut, Mailbox, PartState,
     PartitionRunStats, WorkerStats,
 };
 use super::plan::PartitionPlan;
@@ -111,12 +111,11 @@ pub(super) fn run<O: RunObserver>(
             (q, PartState::new(local_count, plan.max_delay(), p))
         })
         .collect();
-    // One SPSC channel per ordered pair with at least one cut synapse.
-    let channels: Vec<Option<SpikeChannel>> = (0..p * p)
+    // One mailbox per ordered pair with at least one cut synapse.
+    let mailboxes: Vec<Option<Mailbox>> = (0..p * p)
         .map(|i| {
             let (from, to) = (i / p, i % p);
-            (from != to && plan.pair_cut(from, to) > 0)
-                .then(|| SpikeChannel::new(plan.channel_capacity(from, to)))
+            (from != to && plan.pair_cut(from, to) > 0).then(Mailbox::default)
         })
         .collect();
 
@@ -153,7 +152,7 @@ pub(super) fn run<O: RunObserver>(
     }
     let mut inline = |t: Time| {
         let mut out = cells[0].lock().expect("worker cell poisoned");
-        superstep::<O>(plan, &channels, &mut all, t, &mut out, || {});
+        superstep::<O>(plan, &mailboxes, &mut all, t, &mut out, || {});
         0
     };
     inline(0);
@@ -181,16 +180,16 @@ pub(super) fn run<O: RunObserver>(
         std::thread::scope(|scope| {
             for (mine, cell) in owned.into_iter().zip(&cells) {
                 let (barrier, cur_t, running) = (&barrier, &cur_t, &running);
-                let channels = channels.as_slice();
+                let mailboxes = mailboxes.as_slice();
                 scope.spawn(move || {
-                    worker_loop::<O>(plan, channels, mine, cell, barrier, cur_t, running)
+                    worker_loop::<O>(plan, mailboxes, mine, cell, barrier, cur_t, running)
                 });
             }
             let end = coord.drive(first, &cells, |t| {
                 cur_t.store(t, Ordering::Release);
                 let block0 = Instant::now();
                 barrier.wait(); // open: workers compute + publish
-                barrier.wait(); // publish: all cut pushes visible
+                barrier.wait(); // publish: all cut appends visible
                 barrier.wait(); // close: worker outputs visible
                 block0.elapsed().as_nanos() as u64
             });
@@ -204,7 +203,7 @@ pub(super) fn run<O: RunObserver>(
     };
 
     let result = coord.rec.finish(steps, reason, config)?;
-    let mut stats = plan.traffic_stats(&channels, coord.supersteps);
+    let mut stats = plan.traffic_stats(&mailboxes, coord.supersteps);
     stats.threads = coord.workers.len().max(1);
     stats.workers = coord.workers;
     stats.imbalance_max = coord.imbalance_max;
@@ -222,7 +221,7 @@ pub(super) fn run<O: RunObserver>(
 /// nothing to compute: the fired lists hold the injected spikes.
 fn superstep<O: RunObserver>(
     plan: &PartitionPlan,
-    channels: &[Option<SpikeChannel>],
+    mailboxes: &[Option<Mailbox>],
     mine: &mut [(usize, PartState)],
     t: Time,
     out: &mut WorkerOut,
@@ -252,7 +251,7 @@ fn superstep<O: RunObserver>(
             out.batch += batch;
             out.updates += updates;
         }
-        publish_cut(plan, *q, &st.fired, channels, t);
+        publish_cut(plan, *q, &st.fired, mailboxes, t);
     }
     publish();
 
@@ -263,7 +262,7 @@ fn superstep<O: RunObserver>(
     out.deliveries = 0;
     out.next_time = None;
     for (q, st) in mine.iter_mut() {
-        out.deliveries += merge_schedule(plan, *q, st, channels, t, &mut out.tick_traffic);
+        out.deliveries += merge_schedule(plan, *q, st, mailboxes, t, &mut out.tick_traffic);
         let globals = plan.globals(*q);
         out.fired
             .extend(st.fired.iter().map(|l| globals[l.index()]));
@@ -414,7 +413,7 @@ impl<O: RunObserver> Coordinator<'_, O> {
 /// close crossings, with the publish crossing in the middle.
 fn worker_loop<O: RunObserver>(
     plan: &PartitionPlan,
-    channels: &[Option<SpikeChannel>],
+    mailboxes: &[Option<Mailbox>],
     mut mine: Vec<(usize, PartState)>,
     cell: &Mutex<WorkerOut>,
     barrier: &SpinBarrier,
@@ -436,7 +435,7 @@ fn worker_loop<O: RunObserver>(
         let mut out = cell.lock().expect("worker cell poisoned");
         let b0 = Instant::now();
         let mut published = Duration::ZERO;
-        superstep::<O>(plan, channels, &mut mine, t, &mut out, || {
+        superstep::<O>(plan, mailboxes, &mut mine, t, &mut out, || {
             let w1 = Instant::now();
             barrier.wait(); // publish
             published = w1.elapsed();

@@ -9,15 +9,15 @@
 //!    every synapse has delay >= 1, nothing a partition does at `t` can
 //!    affect another partition at `t` — the exchange horizon is exactly
 //!    one tick, so the compute phase needs no communication at all.
-//! 2. **Exchange** — the barrier. Owners push one [`SpikeEvent`] per cut
-//!    synapse of each fired source onto the destination's channel; then
-//!    every partition schedules *all* deliveries addressed to it — its
-//!    own intra-partition routing and each inbound channel stream — via a
-//!    k-way merge by global source id.
+//! 2. **Exchange** — the barrier. Owners append one [`SpikeEvent`] per
+//!    cut synapse of each fired source to the destination's mailbox;
+//!    then every partition schedules *all* deliveries addressed to it —
+//!    its own intra-partition routing and each inbound mailbox stream —
+//!    via a k-way merge by global source id.
 //!
 //! The merge is the bit-identity argument: monolithic engines schedule in
 //! (sorted global firing id) × (CSR synapse order). Local ids ascend with
-//! global ids, so a partition's fired list and every inbound channel
+//! global ids, so a partition's fired list and every inbound mailbox
 //! stream are each sorted by global source id, with disjoint sources;
 //! merging them by source id therefore replays the exact monolithic
 //! scheduling order into each partition wheel, and the wheels (sized to
@@ -31,6 +31,9 @@
 //! one non-empty partition — runs them inline on the calling thread, so
 //! single-threaded runs pay zero barrier overhead.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats};
 
 use crate::engine::wheel::TimeWheel;
@@ -39,11 +42,11 @@ use crate::error::SnnError;
 use crate::network::Network;
 use crate::types::{NeuronId, Time};
 
-use super::channel::{SpikeChannel, SpikeEvent};
+use super::channel::SpikeEvent;
 use super::cut::CutStrategy;
 use super::plan::PartitionPlan;
 
-/// Cut-traffic accounting for one directed spike channel.
+/// Cut-traffic accounting for one directed partition pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChannelTraffic {
     /// Producing partition.
@@ -54,8 +57,20 @@ pub struct ChannelTraffic {
     pub cut_edges: u64,
     /// Spike events actually carried during the run.
     pub messages: u64,
-    /// Events that missed the bounded ring and took the spill path.
-    pub spilled: u64,
+}
+
+/// The cut-spike mailbox of one ordered partition pair, created per run.
+///
+/// The owner of the source partition appends during the compute phase
+/// and the owner of the destination takes everything during the merge
+/// phase; the publish barrier between the two orders every append before
+/// every take. The lock exists only for `Sync` under this crate's
+/// `#![forbid(unsafe_code)]` and is never contended.
+#[derive(Default)]
+pub(super) struct Mailbox {
+    events: Mutex<Vec<SpikeEvent>>,
+    /// Cumulative events taken over the run.
+    messages: AtomicU64,
 }
 
 /// Per-worker totals for one threaded run.
@@ -81,13 +96,15 @@ pub struct PartitionRunStats {
     pub threads: usize,
     /// Static edge cut of the plan.
     pub cut_edges: u64,
-    /// Total spike events carried over all channels.
+    /// Total spike events carried between partitions.
     pub cut_messages: u64,
-    /// Total events that overflowed a channel ring into its spill list.
+    /// Always 0: a mailbox grows instead of spilling. The field stays so
+    /// existing readers of these stats keep compiling.
     pub spilled_messages: u64,
     /// Supersteps executed (including the `t = 0` injection step).
     pub supersteps: u64,
-    /// Per-channel breakdown, ordered by `(from, to)`.
+    /// Per-pair breakdown over pairs with a cut edge, ordered by
+    /// `(from, to)`.
     pub channels: Vec<ChannelTraffic>,
     /// Per-worker busy/barrier-wait totals (empty for one-worker runs).
     pub workers: Vec<WorkerStats>,
@@ -110,7 +127,8 @@ pub(super) struct PartState {
     pub(super) accum: Vec<f64>,
     pub(super) dirty: Vec<bool>,
     pub(super) touched: Vec<NeuronId>,
-    /// Per-peer inbound event buffers, recycled across supersteps.
+    /// Per-peer inbound event buffers, swapped with the peers' mailboxes
+    /// each superstep so capacity recycles.
     inbox: Vec<Vec<SpikeEvent>>,
     /// Per-peer merge cursors into `inbox`.
     merge_idx: Vec<usize>,
@@ -180,9 +198,9 @@ impl PartitionPlan {
     /// [`Self::run_with_stats_threaded`] with telemetry hooks. Alongside
     /// the usual step and scheduler series (aggregated across
     /// partitions), the observer receives [`RunObserver::on_cut_traffic`]
-    /// once per channel with traffic per superstep. The step, scheduler,
-    /// and cut-traffic series are bit-identical at any thread count; a
-    /// pooled run additionally reports
+    /// once per partition pair with traffic per superstep. The step,
+    /// scheduler, and cut-traffic series are bit-identical at any thread
+    /// count; a pooled run additionally reports
     /// [`RunObserver::on_worker_superstep`],
     /// [`RunObserver::on_superstep_imbalance`], and the coordinator's
     /// [`RunObserver::on_barrier_wait`].
@@ -208,7 +226,7 @@ impl PartitionPlan {
 
     pub(super) fn traffic_stats(
         &self,
-        channels: &[Option<SpikeChannel>],
+        mailboxes: &[Option<Mailbox>],
         supersteps: u64,
     ) -> PartitionRunStats {
         let p = self.parts();
@@ -221,16 +239,14 @@ impl PartitionPlan {
         };
         for from in 0..p {
             for to in 0..p {
-                if let Some(ch) = channels[from * p + to].as_ref() {
+                if let Some(mb) = mailboxes[from * p + to].as_ref() {
                     let traffic = ChannelTraffic {
                         from: from as u32,
                         to: to as u32,
                         cut_edges: self.pair_cut(from, to),
-                        messages: ch.messages(),
-                        spilled: ch.spilled(),
+                        messages: mb.messages.load(Ordering::Relaxed),
                     };
                     out.cut_messages += traffic.messages;
-                    out.spilled_messages += traffic.spilled;
                     out.channels.push(traffic);
                 }
             }
@@ -240,17 +256,17 @@ impl PartitionPlan {
 }
 
 /// The publish half of the exchange for one partition: one [`SpikeEvent`]
-/// per (fired source) × (cut synapse), pushed onto the destination's
-/// channel. In a pooled run this runs concurrently across partitions —
-/// each channel still has exactly one producer (the owner of `q`), so the
-/// SPSC ring contract holds, and within a channel the push order is `q`'s
-/// fired order × CSR order at any thread count. A plan with an empty cut
-/// skips the scan entirely.
+/// per (fired source) × (cut synapse), appended to the destination's
+/// mailbox. In a pooled run this runs concurrently across partitions, but
+/// each mailbox still has exactly one producer (the owner of `q`) and no
+/// reader until the publish barrier, so within a mailbox the push order
+/// is `q`'s fired order × CSR order at any thread count. A plan with an
+/// empty cut skips the scan entirely.
 pub(super) fn publish_cut(
     plan: &PartitionPlan,
     q: usize,
     fired: &[NeuronId],
-    channels: &[Option<SpikeChannel>],
+    mailboxes: &[Option<Mailbox>],
     t: Time,
 ) {
     if plan.cut_edge_count() == 0 {
@@ -264,9 +280,12 @@ pub(super) fn publish_cut(
         }
         let src = plan.globals(q)[l.index()].0;
         for c in cuts {
-            channels[q * p + c.part as usize]
+            mailboxes[q * p + c.part as usize]
                 .as_ref()
-                .expect("cut synapse implies a channel")
+                .expect("cut synapse implies a mailbox")
+                .events
+                .lock()
+                .expect("mailbox poisoned")
                 .push(SpikeEvent {
                     src,
                     due: PartitionPlan::due(t, c),
@@ -277,16 +296,18 @@ pub(super) fn publish_cut(
     }
 }
 
-/// The schedule half of the exchange for one partition: drain every
-/// inbound channel, then k-way merge the disjoint-source streams (own
-/// intra-partition routing + one stream per peer) into the wheel by
-/// global source id. Returns the deliveries scheduled; inbound message
-/// counts accumulate into `tick_traffic[peer * parts + q]`.
+/// The schedule half of the exchange for one partition: take every
+/// inbound mailbox (a `Vec` swap with the cleared inbox, so no event is
+/// copied and both buffers keep their capacity), then k-way merge the
+/// disjoint-source streams (own intra-partition routing + one stream per
+/// peer) into the wheel by global source id. Returns the deliveries
+/// scheduled; inbound message counts accumulate into
+/// `tick_traffic[peer * parts + q]`.
 pub(super) fn merge_schedule(
     plan: &PartitionPlan,
     q: usize,
     st: &mut PartState,
-    channels: &[Option<SpikeChannel>],
+    mailboxes: &[Option<Mailbox>],
     t: Time,
     tick_traffic: &mut [u64],
 ) -> u64 {
@@ -302,16 +323,21 @@ pub(super) fn merge_schedule(
     } = st;
 
     let mut deliveries = 0u64;
-    let mut inbound = 0usize;
+    let mut inbound = 0u64;
     for peer in 0..p {
         inbox[peer].clear();
         merge_idx[peer] = 0;
         if peer == q {
             continue;
         }
-        if let Some(ch) = channels[peer * p + q].as_ref() {
-            let got = ch.drain_into(&mut inbox[peer]);
-            tick_traffic[peer * p + q] += got as u64;
+        if let Some(mb) = mailboxes[peer * p + q].as_ref() {
+            std::mem::swap(
+                &mut *mb.events.lock().expect("mailbox poisoned"),
+                &mut inbox[peer],
+            );
+            let got = inbox[peer].len() as u64;
+            mb.messages.fetch_add(got, Ordering::Relaxed);
+            tick_traffic[peer * p + q] += got;
             inbound += got;
         }
     }
@@ -375,7 +401,7 @@ pub(super) fn merge_schedule(
     deliveries
 }
 
-/// Reports this superstep's per-channel traffic to the observer and
+/// Reports this superstep's per-pair cut traffic to the observer and
 /// resets the per-tick counters.
 pub(super) fn emit_cut_traffic<O: RunObserver>(
     obs: &mut O,

@@ -1,5 +1,5 @@
 //! Partitioned SNN execution: edge-cut compilation, inter-partition
-//! spike channels, and bulk-synchronous tick exchange.
+//! spike mailboxes, and bulk-synchronous tick exchange.
 //!
 //! The monolithic engines hold one [`crate::Network`] in one address
 //! space; at the n = 10^5..10^6 scale the paper's Table-1 bounds invite,
@@ -22,9 +22,11 @@
 //!   [`PartitionPlan::memory_bytes`].
 //! * [`engine`] — [`PartitionedEngine`] and the per-partition phases of
 //!   a bulk-synchronous superstep: compute (the event engine's own
-//!   update step), then exchange [`channel::SpikeEvent`]s over SPSC
-//!   [`channel::SpikeChannel`] rings. Because every synapse has
-//!   delay >= 1, the exchange horizon is exactly one tick.
+//!   update step), then exchange [`channel::SpikeEvent`]s through one
+//!   per-run mailbox per ordered partition pair with a cut edge — a
+//!   plain `Vec` the barrier hands from producer to consumer. Because
+//!   every synapse has delay >= 1, the exchange horizon is exactly one
+//!   tick.
 //! * `driver` — the one superstep loop, for every thread count: each
 //!   worker owns a fixed set of partitions and runs one worker body per
 //!   superstep; the coordinator folds the workers' reports into the
@@ -46,7 +48,7 @@ mod driver;
 pub mod engine;
 pub mod plan;
 
-pub use channel::{SpikeChannel, SpikeEvent};
+pub use channel::SpikeEvent;
 pub use cut::{BfsGrowPartitioner, CutStrategy, Partitioner, RangePartitioner};
 pub use engine::{ChannelTraffic, PartitionRunStats, PartitionedEngine, WorkerStats};
 pub use plan::{CutSynapse, PartitionPlan};

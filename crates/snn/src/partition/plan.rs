@@ -5,7 +5,7 @@
 //! (both endpoints in one partition — recompiled into that partition's
 //! sub-[`Network`] through the `NetworkBuilder` counting-sort path) and
 //! *cut* synapses (endpoints in different partitions — rewritten into
-//! [`CutSynapse`] entries that the engine turns into channel traffic).
+//! [`CutSynapse`] entries that the engine turns into mailbox traffic).
 //! Because the split is per source row and both halves keep CSR order,
 //! every target still receives its deliveries in the monolithic order
 //! once the engine's exchange merge recombines the streams.
@@ -17,11 +17,11 @@
 //! by global source id.
 
 use crate::builder::NetworkBuilder;
+use crate::engine::par_map;
 use crate::error::SnnError;
 use crate::network::Network;
 use crate::types::{NeuronId, Time};
 
-use super::channel::{ring_capacity, slot_bytes};
 use super::cut::Partitioner;
 
 /// Compile-size floor (neurons + synapses) below which
@@ -34,7 +34,7 @@ pub const PARALLEL_COMPILE_MIN_WORK: usize = 32_768;
 /// CSR-style per-source offsets into the cut table, and the cut table.
 type BuiltPartition = (Network, Vec<usize>, Vec<CutSynapse>);
 
-/// One boundary synapse, rewritten for channel transport: the owner of
+/// One boundary synapse, rewritten for mailbox transport: the owner of
 /// the source pushes `(due, target_local, weight)` to partition `part`
 /// whenever the source fires.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,7 +104,7 @@ impl PartitionPlan {
     /// [`Self::compile`] with an explicit thread count for the
     /// per-partition sub-network builds. The builds are independent
     /// (each reads the shared CSR and writes only its own partition's
-    /// tables), so they fan out across a scoped worker pool; the
+    /// tables), so they fan out through [`crate::engine::par_map`]; the
     /// resulting plan is identical to a sequential compile, and build
     /// errors surface in partition order. Small compiles (below
     /// [`PARALLEL_COMPILE_MIN_WORK`] neurons + synapses) stay sequential
@@ -166,11 +166,11 @@ impl PartitionPlan {
 
         // Per-partition sub-network builds: independent by construction
         // (partition `p` reads the shared CSR and writes only its own
-        // builder + cut table), so they fan out over a scoped pool with
-        // work-stealing claims when the compile is big enough to pay for
-        // the spawns. Results land in index-order slots, so the compiled
-        // plan — and which error wins when several partitions fail — is
-        // identical to the sequential build.
+        // builder + cut table), so they fan out through `par_map` when
+        // the compile is big enough to pay for the spawns. Results come
+        // back in partition order, so the compiled plan — and which
+        // error wins when several partitions fail — is identical to the
+        // sequential build.
         let build_one = |p: usize| -> Result<BuiltPartition, SnnError> {
             let mut b = NetworkBuilder::with_capacity(globals[p].len(), intra_counts[p]);
             let mut offs = Vec::with_capacity(globals[p].len() + 1);
@@ -202,38 +202,12 @@ impl PartitionPlan {
             Ok((b.build()?, offs, cuts))
         };
 
-        let workers = threads.clamp(1, parts);
-        let work = n + net.synapse_count();
-        let built: Vec<Result<BuiltPartition, SnnError>> =
-            if workers >= 2 && work >= PARALLEL_COMPILE_MIN_WORK {
-                use std::sync::atomic::{AtomicUsize, Ordering};
-                use std::sync::Mutex;
-                let next = AtomicUsize::new(0);
-                let slots: Vec<Mutex<Option<_>>> = (0..parts).map(|_| Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let p = next.fetch_add(1, Ordering::Relaxed);
-                            if p >= parts {
-                                break;
-                            }
-                            // Written exactly once, by the claiming
-                            // worker; the mutex exists for `Sync`.
-                            *slots[p].lock().expect("compile slot poisoned") = Some(build_one(p));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.into_inner()
-                            .expect("compile slot poisoned")
-                            .expect("every partition below `parts` was claimed")
-                    })
-                    .collect()
-            } else {
-                (0..parts).map(build_one).collect()
-            };
+        let threads = if n + net.synapse_count() >= PARALLEL_COMPILE_MIN_WORK {
+            threads
+        } else {
+            1
+        };
+        let built = par_map(parts, threads, || (), |(), p| build_one(p));
 
         let mut subnets = Vec::with_capacity(parts);
         let mut cut_offsets = Vec::with_capacity(parts);
@@ -330,39 +304,18 @@ impl PartitionPlan {
         self.pair_cut[from * self.parts + to]
     }
 
-    /// Ring capacity the engine allocates for the `from -> to` channel.
-    #[must_use]
-    pub fn channel_capacity(&self, from: usize, to: usize) -> usize {
-        ring_capacity(self.pair_cut(from, to))
-    }
-
     /// Absolute arrival tick of a cut synapse for a source firing at `t`.
     #[inline]
     pub(crate) fn due(t: Time, s: &CutSynapse) -> Time {
         t + Time::from(s.delay)
     }
 
-    /// Heap bytes of the channel rings the engine will allocate: one ring
-    /// per ordered partition pair with at least one cut synapse.
-    #[must_use]
-    pub fn channel_ring_bytes(&self) -> usize {
-        let mut slots = 0usize;
-        for from in 0..self.parts {
-            for to in 0..self.parts {
-                if from != to && self.pair_cut(from, to) > 0 {
-                    slots += self.channel_capacity(from, to);
-                }
-            }
-        }
-        slots * slot_bytes()
-    }
-
     /// Total heap footprint of the compiled plan: every sub-network's own
-    /// [`Network::memory_bytes`] accounting, the cut tables, the id maps,
-    /// and the channel rings the engine will allocate. This is the number
-    /// the `EngineChoice::Auto` memory gate compares against its budget —
-    /// partitioning does not escape the cost of the network itself, it
-    /// bounds the cost per address space plus a cut-proportional overhead.
+    /// [`Network::memory_bytes`] accounting, the cut tables and the id
+    /// maps. Per-run scratch — partition states and cut-spike mailboxes —
+    /// is not the plan's and is not counted. Partitioning does not escape
+    /// the cost of the network itself; it bounds the cost per address
+    /// space plus a cut-proportional overhead.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -382,7 +335,6 @@ impl PartitionPlan {
         total += self.assignment.capacity() * size_of::<u32>();
         total += self.local_of.capacity() * size_of::<u32>();
         total += self.pair_cut.capacity() * size_of::<u64>();
-        total += self.channel_ring_bytes();
         total
     }
 }
@@ -443,17 +395,17 @@ mod tests {
         let net = ring(8, 2);
         let plan = PartitionPlan::compile(&net, 1, &RangePartitioner).unwrap();
         assert_eq!(plan.cut_edge_count(), 0);
-        assert_eq!(plan.channel_ring_bytes(), 0);
         assert_eq!(plan.subnet(0).synapse_count(), 8);
     }
 
     #[test]
-    fn memory_accounting_covers_subnets_and_rings() {
+    fn memory_accounting_covers_subnets_and_cut_tables() {
         let net = ring(32, 2);
         let plan = PartitionPlan::compile(&net, 4, &RangePartitioner).unwrap();
         let sub_total: usize = (0..4).map(|p| plan.subnet(p).memory_bytes()).sum();
-        assert!(plan.memory_bytes() >= sub_total + plan.channel_ring_bytes());
-        assert!(plan.channel_ring_bytes() > 0);
+        let cut_total = plan.cut_edge_count() as usize * std::mem::size_of::<CutSynapse>();
+        assert!(plan.cut_edge_count() > 0);
+        assert!(plan.memory_bytes() >= sub_total + cut_total);
     }
 
     #[test]

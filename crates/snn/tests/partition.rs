@@ -2,13 +2,13 @@
 //!
 //! The differential harness (`engine_equivalence.rs`) pins the partitioned
 //! engine bit-identical to the event engine on random networks; this file
-//! covers the channel plumbing those nets may miss by construction —
+//! covers the mailbox plumbing those nets may miss by construction —
 //! empty partitions, partitions with zero cut edges, all-cut star
-//! topologies, ring overflow into the spill path (sequential, and under
-//! threaded-driver contention with two rings racing) — plus conservation
-//! properties: channel traffic must equal the boundary-synapse share of
-//! `SimStats::synaptic_deliveries`, and the plan's memory accounting must
-//! cover the sum of its parts.
+//! topologies, wide cut fan-outs through one mailbox (sequential, and
+//! under the threaded driver with two producers running concurrently) —
+//! plus conservation properties: cut traffic must equal the
+//! boundary-synapse share of `SimStats::synaptic_deliveries`, and the
+//! plan's memory accounting must cover the sum of its parts.
 
 use proptest::prelude::*;
 use sgl_snn::engine::{Engine, EventEngine, RunConfig, RunObserver, TimeSeriesObserver};
@@ -63,12 +63,12 @@ fn all_cut_star_routes_every_delivery_through_channels() {
     assert_eq!(part.stats.synaptic_deliveries, 40);
 }
 
-/// A star wide enough to overflow the per-channel ring exercises the
-/// spill path; order (and therefore the result) must survive.
+/// A 20k-wide cut fan-out through one mailbox: order (and therefore the
+/// result) must survive.
 #[test]
-fn channel_spill_path_is_lossless_and_ordered() {
-    // Two partitions, hub in 0, every leaf in 1: one channel carries the
-    // entire fan-out. The ring caps at 16384 slots, so 20k leaves spill.
+fn wide_cut_fan_out_is_lossless_and_ordered() {
+    // Two partitions, hub in 0, every leaf in 1: one mailbox carries the
+    // entire fan-out in one superstep.
     let n_leaves = 20_000;
     let net = star(n_leaves, 3);
     let mut assignment = vec![1u32; n_leaves + 1];
@@ -87,19 +87,15 @@ fn channel_spill_path_is_lossless_and_ordered() {
         .unwrap();
     assert_eq!(mono, part);
     assert_eq!(stats.cut_messages, n_leaves as u64);
-    assert!(
-        stats.spilled_messages > 0,
-        "a 20k-wide cut must overflow the bounded ring"
-    );
 }
 
-/// Two rings spilling concurrently while worker threads race: each hub
-/// fires at t = 1 *inside* the threaded compute phase and overflows its
-/// own channel (18k-wide fan-out vs the 16384-slot ring). Spill lists
-/// are per-channel with a single producer each, so push order — and
-/// bit-identity with the monolith — must survive the contention.
+/// Two wide cut fan-outs published concurrently by different workers:
+/// each hub fires at t = 1 *inside* the threaded compute phase and
+/// appends 18k events to its own mailbox. Each mailbox has a single
+/// producer, so push order — and bit-identity with the monolith — must
+/// survive the concurrency.
 #[test]
-fn threaded_spill_under_contention_is_lossless() {
+fn threaded_wide_cut_fan_out_is_lossless() {
     let n_leaves = 18_000;
     let mut net = Network::new();
     let driver0 = net.add_neuron(LifParams::gate_at_least(1));
@@ -118,7 +114,7 @@ fn threaded_spill_under_contention_is_lossless() {
     }
 
     // p0 = {driver0, hub0}, p1 = {driver1, hub1}, p2 = hub0's leaves,
-    // p3 = hub1's leaves: two disjoint producer/consumer channel pairs,
+    // p3 = hub1's leaves: two disjoint producer/consumer mailbox pairs,
     // owned by different workers at every thread count below.
     let mut assignment = vec![0u32; net.neuron_count()];
     assignment[driver1.index()] = 1;
@@ -145,10 +141,6 @@ fn threaded_spill_under_contention_is_lossless() {
         assert_eq!(mono, part, "threads = {threads}");
         assert_eq!(stats.threads, threads);
         assert_eq!(stats.cut_messages, 2 * n_leaves as u64);
-        assert!(
-            stats.spilled_messages > 0,
-            "both 18k fan-outs must overflow the rings"
-        );
         assert_eq!(stats.workers.len(), threads);
         let owned: u32 = stats.workers.iter().map(|w| w.partitions).sum();
         assert_eq!(owned, 4, "round-robin ownership covers every partition");
@@ -190,7 +182,7 @@ fn empty_partitions_and_zero_cut_partitions_run_clean() {
 }
 
 /// Satellite regression: the plan's memory accounting must cover the sum
-/// of the sub-network accountings plus the channel rings, and compare
+/// of the sub-network accountings, and compare
 /// sanely against the monolithic build (sub-networks repartition the
 /// neurons and intra synapses; only cut bookkeeping is extra).
 #[test]
@@ -208,8 +200,8 @@ fn plan_memory_accounting_covers_subnets_and_channels() {
         let sub_sum: usize = (0..parts).map(|p| plan.subnet(p).memory_bytes()).sum();
         let total = plan.memory_bytes();
         assert!(
-            total >= sub_sum + plan.channel_ring_bytes(),
-            "parts = {parts}: {total} must cover subnets ({sub_sum}) + rings"
+            total >= sub_sum,
+            "parts = {parts}: {total} must cover subnets ({sub_sum})"
         );
         // Neuron and synapse conservation against the monolithic build.
         let sub_neurons: usize = (0..parts).map(|p| plan.subnet(p).neuron_count()).sum();

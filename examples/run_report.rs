@@ -93,11 +93,12 @@ fn render_report_file(path: &str) {
 
 /// Renders a `BENCH_partition.json` report written by the `partition`
 /// bench: per problem size, the cut-traffic vs partition-count table
-/// (static cut, messages carried, spill count, median) plus a sparkline
-/// of the speedup each partition rung achieves over the event-engine
-/// baseline — the terminal view of the von Seeler cut-traffic tradeoff —
+/// (static cut, messages carried through the mailboxes, median) plus a
+/// sparkline of the speedup each partition rung achieves over the
+/// event-engine baseline — the terminal view of the von Seeler cut-traffic tradeoff —
 /// followed by the threaded-driver worker-balance tables (speedup over
-/// one thread, superstep imbalance, max barrier wait per rung).
+/// the one-worker `p<K>` run, superstep imbalance, max barrier wait per
+/// rung).
 fn render_partition_report(report: &RunReport, path: &str) {
     println!("# partitioned SSSP report `{}` ({path})\n", report.name);
 
@@ -127,8 +128,8 @@ fn render_partition_report(report: &RunReport, path: &str) {
             .map(|c| c.as_str().unwrap_or("?").to_string())
             .collect();
         println!(
-            "  {:<8} {:>10} {:>13} {:>8} {:>14} {:>9}",
-            head[0], head[1], head[2], head[3], head[4], head[5]
+            "  {:<8} {:>10} {:>13} {:>14} {:>9}",
+            head[0], head[1], head[2], head[3], head[4]
         );
         // Speedup per rung = event_median / rung_median, i.e. the
         // inverse of the emitted `vs_event` ratio; 100 = parity.
@@ -139,11 +140,11 @@ fn render_partition_report(report: &RunReport, path: &str) {
                 continue;
             }
             println!(
-                "  {:<8} {:>10} {:>13} {:>8} {:>14} {:>9}",
-                c[0], c[1], c[2], c[3], c[4], c[5]
+                "  {:<8} {:>10} {:>13} {:>14} {:>9}",
+                c[0], c[1], c[2], c[3], c[4]
             );
             if c[0] != "event" {
-                if let Ok(ratio) = c[5].parse::<f64>() {
+                if let Ok(ratio) = c[4].parse::<f64>() {
                     speedups.push((100.0 / ratio.max(0.01)).round() as u64);
                 }
             }
@@ -161,7 +162,8 @@ fn render_partition_report(report: &RunReport, path: &str) {
     assert!(rendered > 0, "no cut_traffic tables in {path}");
 
     // Threaded-driver worker balance, one table per problem size: the
-    // speedup each thread count buys over t1 (one inline worker) and
+    // speedup each thread count buys over t1 (the `p<K>` run: one
+    // inline worker) and
     // how evenly the supersteps split across the worker pool.
     for (name, data) in &report.sections {
         let Some(size) = name.strip_prefix("table:threaded_") else {
