@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sgl-stress [--addr HOST:PORT]        target a running server
-//!            [--ops N] [--concurrency N] [--rate OPS_PER_SEC]
+//!            [--ops N] [--rate OPS_PER_SEC]
 //!            [--connections N] [--pipeline D] [--shards N]
 //!            [--scale C1,C2,...]
 //!            [--n NODES] [--m EDGES] [--seed S]
@@ -18,24 +18,23 @@
 //! mixed workload (closed loop, or open loop with `--rate`), then
 //! measures cold-compile vs warm-cache `sssp` latency.
 //!
-//! `--connections N` switches the workload phase from one thread per
-//! connection to a single reactor-driven thread multiplexing `N`
-//! pipelined connections (`--pipeline` requests in flight on each) —
-//! the high-concurrency mode. Before opening them it preflights the
-//! process fd limit, raising the soft `RLIMIT_NOFILE` toward the hard
-//! cap when possible and failing with a clear error when not.
+//! The workload runs on one reactor-driven thread multiplexing
+//! `--connections` pipelined connections (`--pipeline` requests in
+//! flight on each; default 4 × 1, four requests in flight). Before
+//! opening them it preflights the process fd limit, raising the soft
+//! `RLIMIT_NOFILE` toward the hard cap when possible and failing with a
+//! clear error when not.
 //!
-//! `--scale C1,C2,...` runs the high-concurrency driver once per listed
-//! connection count against the same (warm) server and writes the rows
-//! as a `scaling` section in the run report plus one
-//! `ns_per_op/<connections>` bench line per rung — the
-//! connection-scaling table committed in `artifacts/BENCH_serve.json`.
+//! `--scale C1,C2,...` runs the driver once per listed connection count
+//! instead, against the same (warm) server, and writes the rows as a
+//! `scaling` section in the run report — the connection-scaling table
+//! committed in `artifacts/BENCH_serve.json`.
 //!
 //! Outputs: a live interval table (cql-stress style), a final summary,
 //! a `BENCH_serve.json` run report (into `$SGL_BENCH_DIR` or the working
 //! directory), and — when `$SGL_BENCH_JSON` is set — `group: "serve"`
-//! measurement lines (`sssp_cold/<n>`, `sssp_warm/<n>`, and in
-//! high-concurrency mode `ns_per_op/<connections>`) in the shared
+//! measurement lines (`sssp_cold/<n>`, `sssp_warm/<n>`, and one
+//! `ns_per_op/<connections>` per run of the driver) in the shared
 //! bench-line format, over which `perf_check` enforces the
 //! warm-strictly-below-cold ordering rule and the sharded-throughput
 //! floor.
@@ -56,15 +55,14 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sgl_bench::report::ReportSink;
+use sgl_bench::report::{append_json_line, ReportSink, Timing};
 use sgl_graph::generators;
 use sgl_graph::io::to_dimacs;
 use sgl_observe::Json;
 use sgl_serve::protocol::{Envelope, Request, Response};
 use sgl_serve::session::ServerConfig;
 use sgl_serve::stress::{
-    measure_cold_warm, run_connection_stress, run_stress, Client, ConnStressConfig, LoopMode, Mix,
-    StressConfig, TcpClient,
+    measure_cold_warm, run_connection_stress, Client, ConnStressConfig, Mix, TcpClient,
 };
 use sgl_serve::tcp::LoopbackServer;
 use sgl_serve::trace::TraceConfig;
@@ -72,7 +70,6 @@ use sgl_serve::trace::TraceConfig;
 struct Args {
     addr: Option<SocketAddr>,
     ops: u64,
-    concurrency: usize,
     connections: usize,
     pipeline: usize,
     shards: usize,
@@ -94,9 +91,8 @@ impl Default for Args {
         Self {
             addr: None,
             ops: 2000,
-            concurrency: 4,
-            connections: 0,
-            pipeline: 8,
+            connections: 4,
+            pipeline: 1,
             shards: 0,
             scale: Vec::new(),
             rate: None,
@@ -132,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => out.addr = Some(value.parse().map_err(|_| bad("address"))?),
             "--ops" => out.ops = value.parse().map_err(|_| bad("count"))?,
-            "--concurrency" => out.concurrency = value.parse().map_err(|_| bad("count"))?,
             "--connections" => out.connections = value.parse().map_err(|_| bad("count"))?,
             "--pipeline" => out.pipeline = value.parse().map_err(|_| bad("count"))?,
             "--shards" => out.shards = value.parse().map_err(|_| bad("count"))?,
@@ -154,11 +149,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if out.concurrency == 0 || out.ops == 0 || out.n < 2 || out.samples == 0 {
-        return Err("--concurrency, --ops, --n and --samples must be positive".into());
-    }
-    if (out.connections > 0 || !out.scale.is_empty()) && out.pipeline == 0 {
-        return Err("--pipeline must be positive".into());
+    if out.connections == 0 || out.pipeline == 0 || out.ops == 0 || out.n < 2 || out.samples == 0 {
+        return Err("--connections, --pipeline, --ops, --n and --samples must be positive".into());
     }
     if out.scale.contains(&0) {
         return Err("--scale counts must be positive".into());
@@ -166,48 +158,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(out)
 }
 
-/// Same line format as the criterion shim / `apsp_batch`, so `perf_check`
-/// consumes serve measurements like any other group.
-fn append_bench_line(id: &str, samples_us: &[u64]) {
-    let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
-        return;
-    };
+/// µs samples as a bench-line timing.
+fn timing_us(samples_us: &[u64]) -> Timing {
     let mut sorted = samples_us.to_vec();
     sorted.sort_unstable();
-    let to_ns = |us: u64| us.saturating_mul(1000);
-    let median = to_ns(sorted[sorted.len() / 2]);
-    let min = to_ns(sorted[0]);
-    let mean = to_ns(sorted.iter().sum::<u64>() / sorted.len() as u64);
-    let line = format!(
-        "{{\"group\":\"serve\",\"id\":\"{id}\",\"median_ns\":{median},\"min_ns\":{min},\"mean_ns\":{mean},\"samples\":{}}}\n",
-        sorted.len(),
-    );
-    let r = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = r {
-        eprintln!("SGL_BENCH_JSON: cannot append to {path:?}: {e}");
-    }
-}
-
-/// A single already-in-nanoseconds measurement (whole-run throughput
-/// rows, where per-sample µs quantization would lose the signal).
-fn append_bench_line_ns(id: &str, ns: u64) {
-    let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
-        return;
-    };
-    let line = format!(
-        "{{\"group\":\"serve\",\"id\":\"{id}\",\"median_ns\":{ns},\"min_ns\":{ns},\"mean_ns\":{ns},\"samples\":1}}\n",
-    );
-    let r = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = r {
-        eprintln!("SGL_BENCH_JSON: cannot append to {path:?}: {e}");
+    let us = Duration::from_micros;
+    Timing {
+        median: us(sorted[sorted.len() / 2]),
+        min: us(sorted[0]),
+        mean: us(sorted.iter().sum::<u64>() / sorted.len() as u64),
+        samples: sorted.len(),
     }
 }
 
@@ -220,24 +180,21 @@ fn main() -> ExitCode {
         }
     };
 
-    // High-concurrency mode holds `connections` client sockets — and, when
-    // the server is spawned in-process, the same number of server-side
-    // sockets — so preflight the fd limit before opening any of them. A
-    // `--scale` sweep is sized by its largest rung.
-    let peak_connections = args
-        .scale
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(args.connections);
-    if peak_connections > 0 {
-        let per_conn = if args.addr.is_none() { 2 } else { 1 };
-        let need = (peak_connections as u64).saturating_mul(per_conn) + 64;
-        if let Err(e) = sgl_serve::reactor::ensure_fd_limit(need) {
-            eprintln!("sgl-stress: {e}");
-            return ExitCode::FAILURE;
-        }
+    // One driver run per rung: `--connections`, or each `--scale` count.
+    let rungs = if args.scale.is_empty() {
+        vec![args.connections]
+    } else {
+        args.scale.clone()
+    };
+    // A rung holds its client sockets — and, when the server is spawned
+    // in-process, the same number of server-side sockets — so preflight
+    // the fd limit for the largest rung before opening any of them.
+    let peak_connections = rungs.iter().copied().max().unwrap_or(0);
+    let per_conn = if args.addr.is_none() { 2 } else { 1 };
+    let need = (peak_connections as u64).saturating_mul(per_conn) + 64;
+    if let Err(e) = sgl_serve::reactor::ensure_fd_limit(need) {
+        eprintln!("sgl-stress: {e}");
+        return ExitCode::FAILURE;
     }
 
     // Target: an external server, or a spawned loopback one. `--trace`
@@ -296,43 +253,59 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mode = args.rate.map_or(LoopMode::Closed, LoopMode::Open);
+    let mode = args
+        .rate
+        .map_or_else(|| "closed".to_string(), |r| format!("open@{r}"));
     let mut scaling_rows: Vec<Json> = Vec::new();
-    let summary = if !args.scale.is_empty() {
-        // Connection-scaling sweep: one reactor-driven run per rung, all
-        // against the same server (and its warmed compiled-net caches),
-        // so the table isolates what concurrency costs.
-        let mut last = None;
-        for &count in &args.scale {
-            // Enough ops per rung to reach steady state even at the
-            // largest pipelined counts, without stretching small rungs.
-            let total = args.ops.max(count.saturating_mul(args.pipeline) as u64 * 4);
-            println!(
-                "sgl-stress: scale rung {count} connections (pipeline {}), {total} ops against {addr}",
-                args.pipeline
-            );
-            let config = ConnStressConfig {
-                graph: "stress".into(),
-                graph_n: args.n,
-                connections: count,
-                pipeline: args.pipeline,
-                total_ops: total,
-                rate: args.rate,
-                mix: args.mix.clone(),
-                deadline_ms: args.deadline_ms,
-                seed: args.seed,
-                report_interval: args.interval_ms.map(Duration::from_millis),
-            };
-            let s = match run_connection_stress(addr, &config) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("sgl-stress: connection driver failed at {count} connections: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let ns_per_op =
-                u64::try_from(s.elapsed.as_nanos()).unwrap_or(u64::MAX) / s.issued.max(1);
-            append_bench_line_ns(&format!("ns_per_op/{count}"), ns_per_op);
+    let mut last = None;
+    for &count in &rungs {
+        // A `--scale` sweep gives every rung enough ops to reach steady
+        // state even at the largest pipelined counts, without stretching
+        // small rungs; all rungs hit the same (warm) server, so the table
+        // isolates what concurrency costs.
+        let total = if args.scale.is_empty() {
+            args.ops
+        } else {
+            args.ops.max(count.saturating_mul(args.pipeline) as u64 * 4)
+        };
+        println!(
+            "sgl-stress: {total} ops, {count} connections (pipeline {}), {mode}, graph n={} m={} against {addr}",
+            args.pipeline, args.n, args.m
+        );
+        let config = ConnStressConfig {
+            graph: "stress".into(),
+            graph_n: args.n,
+            connections: count,
+            pipeline: args.pipeline,
+            total_ops: total,
+            rate: args.rate,
+            mix: args.mix.clone(),
+            deadline_ms: args.deadline_ms,
+            seed: args.seed,
+            report_interval: args.interval_ms.map(Duration::from_millis),
+        };
+        let s = match run_connection_stress(addr, &config) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("sgl-stress: connection driver failed at {count} connections: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        // Sustained cost per op at this connection count — the row
+        // `perf_check`'s throughput floor guards.
+        let ns_per_op = u64::try_from(s.elapsed.as_nanos()).unwrap_or(u64::MAX) / s.issued;
+        let whole_run = Duration::from_nanos(ns_per_op);
+        append_json_line(
+            "serve",
+            &format!("ns_per_op/{count}"),
+            &Timing {
+                median: whole_run,
+                min: whole_run,
+                mean: whole_run,
+                samples: 1,
+            },
+        );
+        if !args.scale.is_empty() {
             println!(
                 "  rung {count}: {:.0} ops/s ({ns_per_op} ns/op), errors {}",
                 s.ops_per_sec(),
@@ -354,59 +327,10 @@ fn main() -> ExitCode {
                 ),
                 ("errors", Json::UInt(s.errors())),
             ]));
-            last = Some(s);
         }
-        last.expect("scale list is non-empty")
-    } else if args.connections > 0 {
-        println!(
-            "sgl-stress: {} ops, {} connections (pipeline {}), {:?}, graph n={} m={} against {addr}",
-            args.ops, args.connections, args.pipeline, mode, args.n, args.m
-        );
-        let config = ConnStressConfig {
-            graph: "stress".into(),
-            graph_n: args.n,
-            connections: args.connections,
-            pipeline: args.pipeline,
-            total_ops: args.ops,
-            rate: args.rate,
-            mix: args.mix.clone(),
-            deadline_ms: args.deadline_ms,
-            seed: args.seed,
-            report_interval: args.interval_ms.map(Duration::from_millis),
-        };
-        match run_connection_stress(addr, &config) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sgl-stress: connection driver failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        println!(
-            "sgl-stress: {} ops, {} threads, {:?}, graph n={} m={} against {addr}",
-            args.ops, args.concurrency, mode, args.n, args.m
-        );
-        let config = StressConfig {
-            graph: "stress".into(),
-            graph_n: args.n,
-            concurrency: args.concurrency,
-            total_ops: args.ops,
-            mode,
-            mix: args.mix.clone(),
-            deadline_ms: args.deadline_ms,
-            seed: args.seed,
-            report_interval: args.interval_ms.map(Duration::from_millis),
-        };
-        // One TCP connection per driver thread; a connect failure inside
-        // the run surfaces as counted internal errors, not a panic.
-        run_stress(
-            |i| {
-                TcpClient::connect(addr)
-                    .unwrap_or_else(|e| panic!("thread {i}: cannot connect to {addr}: {e}"))
-            },
-            &config,
-        )
-    };
+        last = Some(s);
+    }
+    let summary = last.expect("at least one rung");
 
     println!(
         "\n{} ops in {:?} ({:.0} ops/s), ok {}, errors {} (shed {}, deadline {})",
@@ -436,15 +360,16 @@ fn main() -> ExitCode {
         cold_warm.warm_median_us(),
         cold_warm.cold_median_us() as f64 / cold_warm.warm_median_us().max(1) as f64,
     );
-    append_bench_line(&format!("sssp_cold/{}", args.n), &cold_warm.cold_us);
-    append_bench_line(&format!("sssp_warm/{}", args.n), &cold_warm.warm_us);
-    // High-concurrency mode also reports sustained cost per op at this
-    // connection count — the row `perf_check`'s throughput floor guards.
-    if args.connections > 0 && summary.issued > 0 {
-        let ns_per_op =
-            u64::try_from(summary.elapsed.as_nanos()).unwrap_or(u64::MAX) / summary.issued;
-        append_bench_line_ns(&format!("ns_per_op/{}", args.connections), ns_per_op);
-    }
+    append_json_line(
+        "serve",
+        &format!("sssp_cold/{}", args.n),
+        &timing_us(&cold_warm.cold_us),
+    );
+    append_json_line(
+        "serve",
+        &format!("sssp_warm/{}", args.n),
+        &timing_us(&cold_warm.warm_us),
+    );
 
     // Server-side view for the report artifact.
     let server_stats = match probe.call(Envelope::of(Request::ServerStats)) {
@@ -479,16 +404,9 @@ fn main() -> ExitCode {
         "config",
         Json::obj(vec![
             ("ops", Json::UInt(args.ops)),
-            ("concurrency", Json::UInt(args.concurrency as u64)),
             ("connections", Json::UInt(args.connections as u64)),
             ("pipeline", Json::UInt(args.pipeline as u64)),
-            (
-                "mode",
-                Json::Str(match mode {
-                    LoopMode::Closed => "closed".into(),
-                    LoopMode::Open(r) => format!("open@{r}"),
-                }),
-            ),
+            ("mode", Json::Str(mode)),
             ("graph_n", Json::UInt(args.n as u64)),
             ("graph_m", Json::UInt(graph.m() as u64)),
             ("seed", Json::UInt(args.seed)),

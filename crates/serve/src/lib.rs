@@ -19,8 +19,6 @@
 //! * [`reactor`] — readiness-based I/O: a minimal `poll(2)` wrapper
 //!   with a self-pipe [`reactor::Waker`] (std-only FFI shim on Linux, a
 //!   portable fallback elsewhere) plus the `RLIMIT_NOFILE` preflight.
-//! * [`ring`] — the SPSC handoff ring the accept loop uses to pass
-//!   accepted sockets to shards.
 //! * [`shard`] — the shard event loop: each of N shards single-threadedly
 //!   owns its connection set, registry partition, compiled-net cache,
 //!   and run queue; graphs route to shards by FNV name hash, so a
@@ -43,11 +41,10 @@
 //! * [`tcp`] — the reactor-driven accept loop (idle server: zero
 //!   syscalls) and [`tcp::LoopbackServer`].
 //! * [`stress`] — the load harness behind the `sgl-stress` binary:
-//!   closed- and open-loop generators, a thread-per-connection driver
-//!   and a single-threaded reactor driver multiplexing thousands of
-//!   pipelined connections, live interval reporting, and the cold/warm
-//!   and connection-scaling measurements committed as
-//!   `BENCH_serve.json`. That file gates reactor plus memo-splice
+//!   one single-threaded reactor driver multiplexing any number of
+//!   pipelined connections in closed or open loop, live interval
+//!   reporting, and the cold/warm and connection-scaling measurements
+//!   committed as `BENCH_serve.json`. That file gates reactor plus memo-splice
 //!   throughput: its traffic hits the result memo at a ratio of about
 //!   0.99999, so it times neither the engine nor row rendering. The
 //!   served, engine-bound number is the repository benchmark's
@@ -64,7 +61,6 @@ pub mod admission;
 pub mod cache;
 pub mod protocol;
 pub mod reactor;
-pub mod ring;
 pub mod session;
 pub mod shard;
 pub mod stats;

@@ -58,8 +58,7 @@ use crate::protocol::{
     Request, Response,
 };
 use crate::reactor::{Poller, Waker};
-use crate::ring::HandoffRing;
-use crate::shard::{ShardIo, RING_CAPACITY};
+use crate::shard::{ShardIo, HANDOFF_CAPACITY};
 use crate::stats::{latency_json, Counters, ShardGauges, ShardedStats};
 use crate::trace::{TraceConfig, TraceCtx, TraceRunObserver, Tracing};
 
@@ -109,7 +108,7 @@ pub(crate) struct ServerInner {
     pub(crate) cache: NetCache,
     /// Shard `i` executes jobs from `queues[i]`; any thread may push.
     pub(crate) queues: Vec<AdmissionQueue>,
-    /// Each shard's cross-thread surface: waker, reply inbox, conn ring.
+    /// Each shard's cross-thread surface: waker, reply inbox, conn handoff.
     pub(crate) shard_io: Vec<ShardIo>,
     /// Per-shard instantaneous gauges for the balance table.
     pub(crate) gauges: Vec<ShardGauges>,
@@ -186,7 +185,7 @@ impl Session {
             shard_io.push(ShardIo {
                 waker,
                 inbox: Mutex::new(VecDeque::new()),
-                ring: HandoffRing::new(RING_CAPACITY),
+                handoff: Mutex::new(VecDeque::new()),
             });
         }
         let inner = Arc::new(ServerInner {
@@ -350,11 +349,11 @@ impl Session {
     }
 
     /// Hands an accepted connection to a shard, round-robin from
-    /// `*next_shard`. A shard with a full ring is skipped; if every ring
-    /// is full the accept loop briefly yields and retries (the shards
-    /// are busy adopting — backpressure, not failure). Dropped without a
-    /// response if the server stops running first.
-    pub(crate) fn hand_off(&self, mut stream: TcpStream, next_shard: &mut usize) {
+    /// `*next_shard`. A shard with a full handoff queue is skipped; if
+    /// every queue is full the accept loop briefly yields and retries
+    /// (the shards are busy adopting — backpressure, not failure).
+    /// Dropped without a response if the server stops running first.
+    pub(crate) fn hand_off(&self, stream: TcpStream, next_shard: &mut usize) {
         loop {
             if self.lifecycle() != Lifecycle::Running {
                 Counters::gauge_dec(&self.inner.counters.connections);
@@ -364,12 +363,13 @@ impl Session {
             for _ in 0..n {
                 let target = *next_shard;
                 *next_shard = (*next_shard + 1) % n;
-                match self.inner.shard_io[target].ring.push(stream) {
-                    Ok(()) => {
-                        self.inner.shard_io[target].waker.wake();
-                        return;
-                    }
-                    Err(back) => stream = back,
+                let io = &self.inner.shard_io[target];
+                let mut handoff = io.handoff.lock().expect("shard handoff");
+                if handoff.len() < HANDOFF_CAPACITY {
+                    handoff.push_back(stream);
+                    drop(handoff);
+                    io.waker.wake();
+                    return;
                 }
             }
             std::thread::sleep(Duration::from_millis(1));

@@ -8,7 +8,8 @@
 //! compiled networks and memoized results live on exactly one shard and
 //! no cross-shard cache locking exists. The loop per iteration:
 //!
-//! 1. adopt connections handed off by the accept loop (SPSC ring),
+//! 1. adopt connections handed off by the accept loop (the whole
+//!    handoff queue, taken under one lock like the inbox in step 2),
 //! 2. deliver reply lines mailed by other shards (pipelined responses
 //!    stay in request order via per-connection sequence numbers),
 //! 3. execute a batch of jobs from the shard's own admission queue
@@ -42,7 +43,6 @@ use sgl_snn::engine::RunScratch;
 use crate::admission::{Job, Lifecycle, ReplyTo};
 use crate::protocol::{ErrorKind, Response};
 use crate::reactor::{stream_fd, Event, Interest, Poller, Waker};
-use crate::ring::HandoffRing;
 use crate::session::{execute_query, micros, parse_line, render, submit, ServerInner};
 use crate::stats::Counters;
 use crate::trace::TraceCtx;
@@ -60,10 +60,10 @@ pub(crate) const MAX_LINE_BYTES: usize = 16 << 20;
 /// large enough to amortize that scan at high connection counts.
 const EXEC_BATCH: usize = 1024;
 
-/// Capacity of each shard's connection-handoff ring. A full ring makes
+/// Capacity of each shard's connection-handoff queue. A full queue makes
 /// the accept loop try the next shard, so bursts load-balance instead of
 /// queueing unboundedly on one shard.
-pub(crate) const RING_CAPACITY: usize = 1024;
+pub(crate) const HANDOFF_CAPACITY: usize = 1024;
 
 /// A finished response line mailed from the executing shard back to the
 /// connection-owning shard.
@@ -87,7 +87,15 @@ pub(crate) struct ShardIo {
     /// Reply lines from other shards.
     pub(crate) inbox: Mutex<VecDeque<Reply>>,
     /// Connections handed off by the accept loop.
-    pub(crate) ring: HandoffRing<TcpStream>,
+    pub(crate) handoff: Mutex<VecDeque<TcpStream>>,
+}
+
+impl ShardIo {
+    /// Whether a handed-off connection or a mailed reply is waiting.
+    fn has_mail(&self) -> bool {
+        !self.handoff.lock().expect("shard handoff").is_empty()
+            || !self.inbox.lock().expect("shard inbox").is_empty()
+    }
 }
 
 enum PendingState {
@@ -162,9 +170,11 @@ pub(crate) fn shard_loop(inner: &Arc<ServerInner>, me: usize, mut poller: Poller
     let mut events: Vec<Event> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
     let mut dirty: Vec<u64> = Vec::new();
+    let io = &inner.shard_io[me];
     loop {
         // 1. Adopt handed-off connections.
-        while let Some(stream) = inner.shard_io[me].ring.pop() {
+        let adopted = std::mem::take(&mut *io.handoff.lock().expect("shard handoff"));
+        for stream in adopted {
             if stream.set_nonblocking(true).is_err() {
                 Counters::gauge_dec(&inner.counters.connections);
                 continue;
@@ -180,7 +190,7 @@ pub(crate) fn shard_loop(inner: &Arc<ServerInner>, me: usize, mut poller: Poller
         }
 
         // 2. Deliver cross-shard replies into their pipelined slots.
-        let replies = std::mem::take(&mut *inner.shard_io[me].inbox.lock().expect("shard inbox"));
+        let replies = std::mem::take(&mut *io.inbox.lock().expect("shard inbox"));
         for reply in replies {
             deliver(inner, &mut conns, reply, &mut dirty);
         }
@@ -227,12 +237,7 @@ pub(crate) fn shard_loop(inner: &Arc<ServerInner>, me: usize, mut poller: Poller
         let draining = inner.queues[me].lifecycle() != Lifecycle::Running;
         if draining {
             let obligations = inner.queues[me].depth() > 0
-                || !inner.shard_io[me].ring.is_empty()
-                || !inner.shard_io[me]
-                    .inbox
-                    .lock()
-                    .expect("shard inbox")
-                    .is_empty()
+                || io.has_mail()
                 || conns
                     .values()
                     .any(|c| !c.dead && (!c.pending.is_empty() || !c.wbuf.is_empty()));
@@ -248,13 +253,7 @@ pub(crate) fn shard_loop(inner: &Arc<ServerInner>, me: usize, mut poller: Poller
         // 6. Wait for readiness or a wakeup. With work still queued poll
         // only collects already-pending I/O; an idle shard blocks
         // indefinitely and makes no syscalls until woken.
-        let work_pending = inner.queues[me].depth() > 0
-            || !inner.shard_io[me].ring.is_empty()
-            || !inner.shard_io[me]
-                .inbox
-                .lock()
-                .expect("shard inbox")
-                .is_empty();
+        let work_pending = inner.queues[me].depth() > 0 || io.has_mail();
         let timeout = if work_pending {
             Some(Duration::ZERO)
         } else if draining {

@@ -4,11 +4,10 @@
 //! of a [`ShardedStats`] (its own mutex, uncontended in steady state —
 //! the cql-stress `sharded_stats` pattern), recording service latency,
 //! queue wait, and queue depth as it completes jobs. Readers (the
-//! `server_stats` op, the stress harness's live table) **combine** all
-//! shards into one [`WorkerStats`] on demand; combining merges
-//! [`LogHistogram`]s bucket-wise so quantiles over the combined
-//! distribution are exact (up to bucket resolution), not averages of
-//! per-worker quantiles.
+//! `server_stats` op) **combine** all shards into one [`WorkerStats`] on
+//! demand; combining merges [`LogHistogram`]s bucket-wise so quantiles
+//! over the combined distribution are exact (up to bucket resolution),
+//! not averages of per-worker quantiles.
 //!
 //! Cross-cutting counters that are written outside worker context —
 //! sheds happen on the *admitting* thread, before any worker exists for
@@ -84,12 +83,6 @@ impl WorkerStats {
         self.queue_depth.merge(&other.queue_depth);
         self.compile_us.merge(&other.compile_us);
     }
-
-    /// Total completed jobs (ok + error) across all ops.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.ok.iter().sum::<u64>() + self.errors.iter().sum::<u64>()
-    }
 }
 
 /// Per-worker shards plus one overflow shard (index `workers`) for
@@ -134,23 +127,6 @@ impl ShardedStats {
         let mut out = WorkerStats::default();
         for shard in &self.shards {
             out.merge(&shard.lock().expect("stats shard lock"));
-        }
-        out
-    }
-
-    /// Merges every shard into one snapshot and resets the shards — the
-    /// stress harness's per-interval report (cql-stress
-    /// `get_combined_and_clear`).
-    ///
-    /// # Panics
-    /// Panics if a shard lock is poisoned.
-    #[must_use]
-    pub fn combined_and_clear(&self) -> WorkerStats {
-        let mut out = WorkerStats::default();
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("stats shard lock");
-            out.merge(&s);
-            *s = WorkerStats::default();
         }
         out
     }
@@ -260,16 +236,6 @@ mod tests {
         assert!((10..=10_000).contains(&p50), "p50 = {p50}");
         // p99 lands in the slow mode.
         assert!(c.latency_us[i].quantile(0.99).unwrap() >= 9_000);
-    }
-
-    #[test]
-    fn combined_and_clear_resets_shards() {
-        let stats = ShardedStats::new(1);
-        stats.with_shard(0, |s| s.record(OpKind::Khop, 42, false));
-        let first = stats.combined_and_clear();
-        assert_eq!(first.total(), 1);
-        assert_eq!(first.errors[OpKind::Khop.index()], 1);
-        assert_eq!(stats.combined().total(), 0, "cleared");
     }
 
     #[test]

@@ -1,23 +1,19 @@
 //! The load harness behind `sgl-stress`, modeled on cql-stress: a
-//! weighted operation mix, closed-loop (fixed concurrency) and open-loop
-//! (fixed arrival rate) drivers, sharded client-side statistics with
-//! interval reporting, and the cold/warm compiled-network measurement
-//! that `perf_check` enforces an ordering rule over.
+//! weighted operation mix, one driver for closed loop (fixed requests in
+//! flight) and open loop (fixed arrival rate), client-side statistics
+//! with interval reporting, and the cold/warm compiled-network
+//! measurement that `perf_check` enforces an ordering rule over.
 //!
-//! Structure mirrors cql-stress's `configuration` / `distribution` /
-//! `run` / `sharded_stats` split, collapsed into one module at this
-//! scale: [`Mix`] is the workload configuration, [`RateLimiter`] the
-//! open-loop scheduler, [`run_stress`] the driver, and the per-thread
-//! shards reuse [`crate::stats::ShardedStats`].
-//!
-//! Op ids are claimed from one atomic counter (the cql-stress pattern):
-//! a thread that claims an id past the total stops, so the harness
-//! issues *exactly* `total_ops` operations across however many threads.
+//! [`Mix`] is the workload configuration and [`run_connection_stress`]
+//! the driver: one thread multiplexing any number of pipelined TCP
+//! connections over a reactor, so 4 connections at pipeline depth 1 is
+//! the load of 4 blocking clients and 10,000 connections cost no more
+//! threads. [`Client`] is the blocking one-request-at-a-time interface
+//! the cold/warm measurement and the tests call through.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -29,7 +25,7 @@ use crate::protocol::{
 };
 use crate::reactor::{stream_fd, Interest, Poller};
 use crate::session::Session;
-use crate::stats::{ShardedStats, WorkerStats};
+use crate::stats::WorkerStats;
 
 /// Anything that can execute one request synchronously: an in-process
 /// [`Session`] or a TCP connection.
@@ -228,101 +224,6 @@ impl Default for Mix {
     }
 }
 
-/// Open-loop arrival scheduler (cql-stress's `RateLimiter`): thread-safe
-/// hand-out of evenly spaced start times from one atomic counter. Threads
-/// sleep until their assigned instant, so the offered load is `rate`
-/// regardless of service speed — the queue absorbs the difference, which
-/// is exactly what an overload test wants.
-pub struct RateLimiter {
-    base: Instant,
-    increment_ns: u64,
-    next: AtomicU64,
-}
-
-impl RateLimiter {
-    /// A limiter issuing `rate` operations per second starting now.
-    ///
-    /// # Panics
-    /// Panics if `rate` is not positive and finite.
-    #[must_use]
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        Self {
-            base: Instant::now(),
-            increment_ns: (1e9 / rate).max(1.0) as u64,
-            next: AtomicU64::new(0),
-        }
-    }
-
-    /// Claims the next scheduled start time.
-    #[must_use]
-    pub fn next_start(&self) -> Instant {
-        let offset = self.next.fetch_add(self.increment_ns, Ordering::Relaxed);
-        self.base + Duration::from_nanos(offset)
-    }
-
-    /// Sleeps until the next scheduled start and returns it.
-    #[must_use]
-    pub fn pace(&self) -> Instant {
-        let start = self.next_start();
-        let now = Instant::now();
-        if start > now {
-            std::thread::sleep(start - now);
-        }
-        start
-    }
-}
-
-/// Driver mode.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LoopMode {
-    /// Closed loop: each thread issues its next op as soon as the
-    /// previous one completes — measures capacity.
-    Closed,
-    /// Open loop at the given arrival rate (ops/s) — measures behaviour
-    /// at a fixed offered load, including overload.
-    Open(f64),
-}
-
-/// Harness configuration.
-#[derive(Clone, Debug)]
-pub struct StressConfig {
-    /// Registry name of the target graph (must already be loaded).
-    pub graph: String,
-    /// Node count of that graph (random sources are drawn below this).
-    pub graph_n: usize,
-    /// Concurrent client threads.
-    pub concurrency: usize,
-    /// Total operations to issue across all threads.
-    pub total_ops: u64,
-    /// Closed or open loop.
-    pub mode: LoopMode,
-    /// Workload mix.
-    pub mix: Mix,
-    /// Per-request deadline forwarded to the server.
-    pub deadline_ms: Option<u64>,
-    /// RNG seed (per-thread streams derive from it).
-    pub seed: u64,
-    /// Print a live stats line every interval (`None`: quiet).
-    pub report_interval: Option<Duration>,
-}
-
-impl Default for StressConfig {
-    fn default() -> Self {
-        Self {
-            graph: "stress".into(),
-            graph_n: 256,
-            concurrency: 4,
-            total_ops: 1000,
-            mode: LoopMode::Closed,
-            mix: Mix::default(),
-            deadline_ms: None,
-            seed: 7,
-            report_interval: None,
-        }
-    }
-}
-
 /// Aggregated outcome of a stress run.
 #[derive(Debug)]
 pub struct StressSummary {
@@ -397,129 +298,6 @@ impl StressSummary {
 
 fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Runs the configured workload against clients produced by `make_client`
-/// (one per thread, so TCP mode gets one connection each).
-///
-/// # Panics
-/// Panics if a driver thread panics (indicates a harness bug, not a
-/// server failure — server failures are counted, not thrown).
-pub fn run_stress<C: Client, F: Fn(usize) -> C + Sync>(
-    make_client: F,
-    config: &StressConfig,
-) -> StressSummary {
-    let stats = ShardedStats::new(config.concurrency);
-    // Interval reporting clears the shards; cleared snapshots accumulate
-    // here so the final summary still covers the whole run.
-    let reported = std::sync::Mutex::new(WorkerStats::default());
-    let errors_by_kind: Vec<AtomicU64> = (0..ErrorKind::ALL.len())
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    let next_op = AtomicU64::new(0);
-    let limiter = match config.mode {
-        LoopMode::Open(rate) => Some(RateLimiter::new(rate)),
-        LoopMode::Closed => None,
-    };
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for thread_idx in 0..config.concurrency {
-            let stats = &stats;
-            let errors_by_kind = &errors_by_kind;
-            let next_op = &next_op;
-            let limiter = limiter.as_ref();
-            let make_client = &make_client;
-            scope.spawn(move || {
-                let mut client = make_client(thread_idx);
-                let mut rng =
-                    StdRng::seed_from_u64(config.seed ^ (thread_idx as u64).wrapping_mul(0x9e37));
-                loop {
-                    // Claim an op id; past the total means done (the
-                    // cql-stress atomic-counter stop condition).
-                    if next_op.fetch_add(1, Ordering::Relaxed) >= config.total_ops {
-                        break;
-                    }
-                    if let Some(l) = limiter {
-                        let _scheduled = l.pace();
-                    }
-                    let spec = config.mix.pick(&mut rng);
-                    let source = rng.gen_range(0..config.graph_n);
-                    let request = spec.request(&config.graph, source);
-                    let kind = request.kind();
-                    let envelope = Envelope {
-                        id: None,
-                        deadline_ms: config.deadline_ms,
-                        trace_id: None,
-                        request,
-                    };
-                    let start = Instant::now();
-                    let response = client.call(envelope);
-                    let latency = micros(start.elapsed());
-                    stats.with_shard(thread_idx, |s| {
-                        s.record(kind, latency, response.is_ok());
-                    });
-                    if let Some(k) = response.error_kind() {
-                        errors_by_kind[k.index()].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-        // Live interval reporter (main thread of the scope).
-        if let Some(interval) = config.report_interval {
-            let mut printed_header = false;
-            loop {
-                std::thread::sleep(interval);
-                let done = next_op.load(Ordering::Relaxed).min(config.total_ops);
-                let snap = stats.combined_and_clear();
-                let mut all = LogHistogram::new();
-                for h in &snap.latency_us {
-                    all.merge(h);
-                }
-                if !printed_header {
-                    println!(
-                        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                        "total_ops", "int_ops", "p50_us", "p95_us", "p99_us", "errors"
-                    );
-                    printed_header = true;
-                }
-                let q = |q: f64| {
-                    all.quantile(q)
-                        .map_or_else(|| "-".into(), |v| v.to_string())
-                };
-                println!(
-                    "{done:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                    snap.total(),
-                    q(0.5),
-                    q(0.95),
-                    q(0.99),
-                    snap.errors.iter().sum::<u64>(),
-                );
-                reported.lock().expect("report accumulator").merge(&snap);
-                if done >= config.total_ops {
-                    break;
-                }
-            }
-        }
-    });
-    let elapsed = t0.elapsed();
-    let mut combined = stats.combined();
-    combined.merge(&reported.lock().expect("report accumulator"));
-    let mut overall = LogHistogram::new();
-    for h in &combined.latency_us {
-        overall.merge(h);
-    }
-    let mut errors = [0u64; ErrorKind::ALL.len()];
-    for (slot, counter) in errors.iter_mut().zip(&errors_by_kind) {
-        *slot = counter.load(Ordering::Relaxed);
-    }
-    StressSummary {
-        elapsed,
-        issued: config.total_ops,
-        ok: combined.ok.iter().sum(),
-        errors_by_kind: errors,
-        latency_us: combined.latency_us.to_vec(),
-        overall_us: overall,
-    }
 }
 
 /// Configuration for [`run_connection_stress`]: one driver thread
@@ -632,13 +410,16 @@ fn render_pool(config: &ConnStressConfig) -> Vec<(OpKind, Vec<u8>)> {
 }
 
 /// Drives `connections` pipelined non-blocking connections from a single
-/// thread over a [`Poller`] — the high-concurrency companion to
-/// [`run_stress`], which spends a whole thread (and scheduler slot) per
-/// connection and cannot reach reactor-scale counts.
+/// thread over a [`Poller`]: closed loop refills a connection as soon as
+/// it answers, open loop issues on the arrival schedule of `rate`.
 ///
 /// Request lines are pre-rendered (`REQUEST_POOL` of them, cycled) so the
 /// steady-state client cost per op is a buffer copy, a `poll` share, and a
 /// substring scan of the response line.
+///
+/// The summary always accounts for all `total_ops`: ops in flight on a
+/// connection that died, and ops never sent because every connection
+/// died first, count as [`ErrorKind::Internal`] errors.
 ///
 /// # Errors
 /// Returns an error if connecting or polling fails; per-request failures
@@ -820,7 +601,8 @@ pub fn run_connection_stress(
             }
         }
     }
-    errors_by_kind[ErrorKind::Internal.index()] += lost;
+    let unsent = config.total_ops - issued;
+    errors_by_kind[ErrorKind::Internal.index()] += lost + unsent;
     let elapsed = t0.elapsed();
     let mut overall = LogHistogram::new();
     for h in &stats.latency_us {
@@ -828,7 +610,7 @@ pub fn run_connection_stress(
     }
     Ok(StressSummary {
         elapsed,
-        issued: completed + lost,
+        issued: config.total_ops,
         ok: stats.ok.iter().sum(),
         errors_by_kind,
         latency_us: stats.latency_us.to_vec(),
@@ -1044,54 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_limiter_spaces_arrivals() {
-        let l = RateLimiter::new(1000.0); // 1ms apart
-        let a = l.next_start();
-        let b = l.next_start();
-        let c = l.next_start();
-        assert_eq!(b - a, Duration::from_millis(1));
-        assert_eq!(c - b, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn closed_loop_issues_exactly_total_ops() {
-        let session = session_with_graph(20, 70, 21);
-        let config = StressConfig {
-            graph_n: 20,
-            concurrency: 3,
-            total_ops: 50,
-            ..StressConfig::default()
-        };
-        let summary = run_stress(|_| SessionClient(&session), &config);
-        assert_eq!(summary.issued, 50);
-        assert_eq!(summary.ok + summary.errors(), 50);
-        assert_eq!(summary.errors(), 0, "low load must not shed");
-        assert_eq!(summary.overall_us.count(), 50);
-        session.shutdown();
-    }
-
-    #[test]
-    fn open_loop_paces_and_completes() {
-        let session = session_with_graph(12, 40, 22);
-        let config = StressConfig {
-            graph_n: 12,
-            concurrency: 2,
-            total_ops: 20,
-            mode: LoopMode::Open(2000.0),
-            ..StressConfig::default()
-        };
-        let summary = run_stress(|_| SessionClient(&session), &config);
-        assert_eq!(summary.ok + summary.errors(), 20);
-        // 20 ops at 2000/s arrive over ≥ ~9.5 ms of schedule.
-        assert!(
-            summary.elapsed >= Duration::from_millis(8),
-            "{:?}",
-            summary.elapsed
-        );
-        session.shutdown();
-    }
-
-    #[test]
     fn cold_warm_measurement_runs_and_is_sane() {
         let session = session_with_graph(64, 220, 23);
         let mut client = SessionClient(&session);
@@ -1104,28 +838,6 @@ mod tests {
         assert!(cw.cold_median_us() > 0);
         let j = cw.to_json();
         assert!(j.get("speedup").and_then(Json::as_f64).is_some());
-        session.shutdown();
-    }
-
-    #[test]
-    fn summary_json_shape() {
-        let session = session_with_graph(10, 30, 24);
-        let config = StressConfig {
-            graph_n: 10,
-            concurrency: 1,
-            total_ops: 5,
-            ..StressConfig::default()
-        };
-        let summary = run_stress(|_| SessionClient(&session), &config);
-        let j = summary.to_json();
-        assert_eq!(j.get("issued").and_then(Json::as_u64), Some(5));
-        assert!(j.get("ops_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
-        assert_eq!(
-            j.get("errors")
-                .and_then(|e| e.get("overloaded"))
-                .and_then(Json::as_u64),
-            Some(0)
-        );
         session.shutdown();
     }
 
@@ -1143,17 +855,28 @@ mod tests {
             dimacs: to_dimacs(&g, "stress graph"),
         }));
         assert!(resp.is_ok());
-        let config = ConnStressConfig {
-            graph_n: 24,
-            connections: 32,
-            pipeline: 4,
-            total_ops: 600,
-            ..ConnStressConfig::default()
-        };
-        let summary = run_connection_stress(server.addr, &config).expect("driver");
-        assert_eq!(summary.issued, 600);
-        assert_eq!(summary.ok, 600, "errors: {:?}", summary.errors_by_kind);
-        assert_eq!(summary.overall_us.count(), 600);
+        for (connections, pipeline, total) in [(32, 4, 600), (3, 1, 50)] {
+            let config = ConnStressConfig {
+                graph_n: 24,
+                connections,
+                pipeline,
+                total_ops: total,
+                ..ConnStressConfig::default()
+            };
+            let summary = run_connection_stress(server.addr, &config).expect("driver");
+            assert_eq!(summary.issued, total);
+            assert_eq!(summary.ok, total, "errors: {:?}", summary.errors_by_kind);
+            assert_eq!(summary.overall_us.count(), total);
+            let j = summary.to_json();
+            assert_eq!(j.get("issued").and_then(Json::as_u64), Some(total));
+            assert!(j.get("ops_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
+            assert_eq!(
+                j.get("errors")
+                    .and_then(|e| e.get("overloaded"))
+                    .and_then(Json::as_u64),
+                Some(0)
+            );
+        }
         assert!(setup.call(Envelope::of(Request::Shutdown)).is_ok());
         server.stop();
     }
@@ -1188,5 +911,34 @@ mod tests {
         );
         assert!(setup.call(Envelope::of(Request::Shutdown)).is_ok());
         server.stop();
+    }
+
+    /// A listener that accepts `n` connections and drops each at once.
+    fn dropping_listener(n: usize) -> SocketAddr {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        std::thread::spawn(move || {
+            for stream in listener.incoming().take(n) {
+                drop(stream);
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn driver_counts_ops_it_never_sent() {
+        for rate in [None, Some(50.0)] {
+            let config = ConnStressConfig {
+                connections: 2,
+                pipeline: 1,
+                total_ops: 100,
+                rate,
+                ..ConnStressConfig::default()
+            };
+            let summary = run_connection_stress(dropping_listener(2), &config).expect("driver");
+            assert_eq!(summary.issued, 100, "rate {rate:?}");
+            assert_eq!(summary.ok + summary.errors(), 100, "rate {rate:?}");
+            assert!(summary.errors() > 0, "rate {rate:?}");
+        }
     }
 }

@@ -462,9 +462,10 @@ fn render_serve_report(report: &RunReport, path: &str) {
     if let Some(config) = report.get("config") {
         let field = |k: &str| config.get(k).and_then(Json::as_u64).unwrap_or(0);
         println!(
-            "workload: {} ops, {} threads, mode {}, graph n={} m={}",
+            "workload: {} ops, {} connections × pipeline {}, mode {}, graph n={} m={}",
             field("ops"),
-            field("concurrency"),
+            field("connections"),
+            field("pipeline"),
             config.get("mode").and_then(Json::as_str).unwrap_or("?"),
             field("graph_n"),
             field("graph_m"),
