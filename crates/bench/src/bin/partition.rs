@@ -18,9 +18,14 @@
 //! again: `p<K>` already is that call (one worker, run inline), so its
 //! median anchors the sweep's `vs_t1` column.
 //!
+//! Each rung's [`PartitionedEngine::compile`] is timed too — every
+//! `EngineChoice::prepare` of a partitioned net pays it — and lands in the
+//! `compile` column of the cut-traffic table.
+//!
 //! Emits `SGL_BENCH_JSON` lines (`group: "partition"`, ids `event/<n>`,
-//! `p1/<n>` ... `p8/<n>`, and `p<K>t<T>/<n>` for the threaded sweep) for
-//! `perf_check`, which enforces intra-run rules: `p1/<n>` within 10% of
+//! `p1/<n>` ... `p8/<n>`, `p<K>t<T>/<n>` for the threaded sweep, and
+//! `plan_compile/p<K>/<n>` for the compiles) for `perf_check`, which
+//! enforces intra-run rules on the run rows: `p1/<n>` within 10% of
 //! `event/<n>` (the partition machinery at one partition is bookkeeping
 //! only), each doubling of the partition count at most 2x the previous
 //! rung (cut overhead grows smoothly, it does not cliff), and — on a
@@ -92,13 +97,19 @@ fn main() {
             event.steps
         );
 
-        // Compile one plan per rung; correctness gate before any timing.
+        // Compile one plan per rung (correctness gate before any run
+        // timing), and time the compile itself: every `prepare` pays it.
+        let mut compile_medians = Vec::with_capacity(PART_COUNTS.len());
         let plans: Vec<PartitionPlan> = PART_COUNTS
             .iter()
             .map(|&p| {
-                PartitionedEngine::new(p)
-                    .compile(&net)
-                    .expect("valid SSSP net")
+                let engine = PartitionedEngine::new(p);
+                let timing = measure(samples, || {
+                    std::hint::black_box(engine.compile(&net).expect("valid SSSP net"));
+                });
+                append_json_line("partition", &format!("plan_compile/p{p}/{n}"), &timing);
+                compile_medians.push(timing.median);
+                engine.compile(&net).expect("valid SSSP net")
             })
             .collect();
         let mut rows: Vec<Vec<String>> = Vec::new();
@@ -111,12 +122,13 @@ fn main() {
             "event".into(),
             "-".into(),
             "-".into(),
+            "-".into(),
             format!("{event_median:?}"),
             "1.00".into(),
         ]);
 
         let mut p_medians = Vec::with_capacity(plans.len());
-        for (plan, &parts) in plans.iter().zip(&PART_COUNTS) {
+        for ((plan, &parts), compile) in plans.iter().zip(&PART_COUNTS).zip(&compile_medians) {
             let (result, stats) = plan
                 .run_with_stats_threaded(&[NeuronId(0)], &config, 1)
                 .expect("valid SSSP net");
@@ -135,13 +147,15 @@ fn main() {
             p_medians.push(median);
             let rel = median.as_secs_f64() / event_median.as_secs_f64().max(1e-12);
             println!(
-                "  partitioned@{parts}: cut {} edges, {} messages, {median:?} ({rel:.2}x event)",
+                "  partitioned@{parts}: cut {} edges, {} messages, compile {compile:?}, \
+                 {median:?} ({rel:.2}x event)",
                 stats.cut_edges, stats.cut_messages
             );
             rows.push(vec![
                 format!("p{parts}"),
                 stats.cut_edges.to_string(),
                 stats.cut_messages.to_string(),
+                format!("{compile:?}"),
                 format!("{median:?}"),
                 format!("{rel:.2}"),
             ]);
@@ -202,7 +216,14 @@ fn main() {
         sink.phase("readout");
         sink.table(
             &format!("cut_traffic_{n}"),
-            &["engine", "cut_edges", "cut_messages", "median", "vs_event"],
+            &[
+                "engine",
+                "cut_edges",
+                "cut_messages",
+                "compile",
+                "median",
+                "vs_event",
+            ],
             &rows,
         );
         sink.table(

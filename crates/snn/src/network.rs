@@ -34,10 +34,11 @@ pub struct CsrTopology {
 }
 
 impl CsrTopology {
-    /// Assembles a topology from pre-sorted parts — the bulk compiler's
+    /// Assembles a topology from pre-sorted parts — the bulk compilers'
     /// entry point ([`crate::builder::NetworkBuilder`] counting-sorts
-    /// straight into these arrays; no per-neuron allocations, no
-    /// build-side adjacency ever exists).
+    /// straight into these arrays, and the partition-plan compile writes
+    /// each sub-network's rows into them directly; no per-neuron
+    /// allocations, no build-side adjacency ever exists).
     pub(crate) fn from_parts(offsets: Vec<usize>, synapses: Vec<Synapse>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
@@ -351,8 +352,9 @@ impl Network {
 
     /// Assembles a *born-frozen* network from bulk-compiled parts: the CSR
     /// is authoritative from the start and the build-side adjacency never
-    /// exists. Callers ([`crate::builder::NetworkBuilder::build`]) have
-    /// already validated every synapse.
+    /// exists. Callers ([`crate::builder::NetworkBuilder::build`] and
+    /// [`crate::partition::PartitionPlan::compile`]) have already
+    /// validated every synapse.
     pub(crate) fn from_frozen(
         params: Vec<LifParams>,
         csr: CsrTopology,

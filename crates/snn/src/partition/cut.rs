@@ -7,8 +7,6 @@
 //! is bit-identical to a monolithic run under *any* valid assignment —
 //! which is what makes the strategy pluggable.
 
-use std::collections::VecDeque;
-
 use crate::network::Network;
 
 /// A strategy for assigning neurons to partitions.
@@ -69,8 +67,15 @@ impl Partitioner for RangePartitioner {
 /// breadth-first (out- and in-neighbours alike) until the region reaches
 /// `ceil(n/parts)` neurons, then starts the next region. Connected
 /// neighbourhoods tend to land in one region, so cuts follow sparse
-/// frontiers instead of slicing through dense cores. Deterministic:
-/// expansion order is (BFS queue order) × (CSR synapse order).
+/// frontiers instead of slicing through dense cores.
+///
+/// The undirected view is one adjacency array, counted and then filled
+/// in one pass each over the CSR: each neuron's row lists its out-targets
+/// in CSR synapse order, then its in-sources in ascending source id (one
+/// entry per synapse, so parallel edges repeat; self-loops are dropped,
+/// as they can never assign anything). The frontier is a flat `Vec` read
+/// from a moving head. Deterministic: expansion order is (FIFO order) ×
+/// (row order).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BfsGrowPartitioner;
 
@@ -83,28 +88,49 @@ impl Partitioner for BfsGrowPartitioner {
         }
         let csr = net.csr();
 
-        // In-neighbour lists (counting sort), for undirected growth.
-        let m = csr.all().len();
-        let mut in_off = vec![0usize; n + 1];
-        for s in csr.all() {
-            in_off[s.target.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_off[i + 1] += in_off[i];
-        }
-        let mut in_adj = vec![0u32; m];
-        let mut cursor: Vec<usize> = in_off[..n].to_vec();
+        // Undirected row of `u`: its out-targets, then its in-sources.
+        // Self-loops are left out: a neuron is assigned before its own
+        // row is read, so a self entry could never assign anything.
+        // `cursor[u]` first counts u's out-entries, then becomes the
+        // write position of its first in-source.
+        let mut off = vec![0usize; n + 1];
+        let mut cursor = vec![0usize; n];
         for u in 0..n {
             for s in csr.out(u) {
                 let t = s.target.index();
-                in_adj[cursor[t]] = u as u32;
-                cursor[t] += 1;
+                if t != u {
+                    cursor[u] += 1;
+                    off[u + 1] += 1;
+                    off[t + 1] += 1;
+                }
             }
         }
+        for u in 0..n {
+            off[u + 1] += off[u];
+            cursor[u] += off[u];
+        }
+        // Sources are visited in ascending order, so each row's
+        // in-sources land in ascending source order.
+        let mut adj = vec![0u32; off[n]];
+        for u in 0..n {
+            let mut out = off[u];
+            for s in csr.out(u) {
+                let t = s.target.index();
+                if t != u {
+                    adj[out] = t as u32;
+                    out += 1;
+                    adj[cursor[t]] = u as u32;
+                    cursor[t] += 1;
+                }
+            }
+        }
+        drop(cursor);
 
         let target = n.div_ceil(parts);
         let mut assignment = vec![u32::MAX; n];
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        // One region never queues more than `target` neurons.
+        let mut queue: Vec<u32> = Vec::with_capacity(target);
+        let mut head = 0usize;
         let mut seed_cursor = 0usize;
         let mut part = 0u32;
         let mut region = 0usize;
@@ -115,9 +141,11 @@ impl Partitioner for BfsGrowPartitioner {
                 part += 1;
                 region = 0;
                 queue.clear();
+                head = 0;
             }
-            let u = if let Some(u) = queue.pop_front() {
-                u
+            let u = if let Some(&u) = queue.get(head) {
+                head += 1;
+                u as usize
             } else {
                 // Frontier exhausted (or region just closed): seed at the
                 // lowest-id unassigned neuron.
@@ -129,28 +157,15 @@ impl Partitioner for BfsGrowPartitioner {
                 region += 1;
                 seed_cursor
             };
-            for s in csr.out(u) {
+            for &v in &adj[off[u]..off[u + 1]] {
                 if region >= target && (part as usize) + 1 < parts {
                     break;
                 }
-                let v = s.target.index();
-                if assignment[v] == u32::MAX {
-                    assignment[v] = part;
+                if assignment[v as usize] == u32::MAX {
+                    assignment[v as usize] = part;
                     assigned += 1;
                     region += 1;
-                    queue.push_back(v);
-                }
-            }
-            for &v in &in_adj[in_off[u]..in_off[u + 1]] {
-                if region >= target && (part as usize) + 1 < parts {
-                    break;
-                }
-                let v = v as usize;
-                if assignment[v] == u32::MAX {
-                    assignment[v] = part;
-                    assigned += 1;
-                    region += 1;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }

@@ -107,8 +107,8 @@ pub(super) fn run<O: RunObserver>(
     let rec = Recorder::with_shape(plan.neuron_count(), plan.terminal(), config)?;
     let mut all: Vec<(usize, PartState)> = (0..p)
         .map(|q| {
-            let local_count = plan.subnet(q).neuron_count();
-            (q, PartState::new(local_count, plan.max_delay(), p))
+            let params = plan.subnet(q).params_slice();
+            (q, PartState::new(params, plan.max_delay(), p))
         })
         .collect();
     // One mailbox per ordered pair with at least one cut synapse.

@@ -40,6 +40,7 @@ use crate::engine::wheel::TimeWheel;
 use crate::engine::{Engine, RunConfig, RunResult};
 use crate::error::SnnError;
 use crate::network::Network;
+use crate::params::LifParams;
 use crate::types::{NeuronId, Time};
 
 use super::channel::SpikeEvent;
@@ -135,7 +136,11 @@ pub(super) struct PartState {
 }
 
 impl PartState {
-    pub(super) fn new(local_count: usize, global_max_delay: u32, parts: usize) -> Self {
+    /// Fresh state for a partition whose neurons (by local id) have
+    /// `params`: voltages start at each neuron's `v_reset`, as in every
+    /// monolithic engine.
+    pub(super) fn new(params: &[LifParams], global_max_delay: u32, parts: usize) -> Self {
+        let local_count = params.len();
         Self {
             // Sized to the *global* max delay: in-horizon vs overflow
             // classification must match the monolithic wheel (see
@@ -143,7 +148,7 @@ impl PartState {
             wheel: TimeWheel::new(global_max_delay),
             batch: Vec::new(),
             fired: Vec::new(),
-            voltages: vec![0.0; local_count],
+            voltages: params.iter().map(|p| p.v_reset).collect(),
             last_update: vec![0; local_count],
             accum: vec![0.0; local_count],
             dirty: vec![false; local_count],
@@ -498,7 +503,6 @@ impl Engine for PartitionedEngine {
 mod tests {
     use super::*;
     use crate::engine::{EventEngine, StopReason};
-    use crate::params::LifParams;
 
     fn chain(n: usize, delay: u32) -> Network {
         let mut net = Network::new();
@@ -571,6 +575,31 @@ mod tests {
             .unwrap();
         assert_eq!(mono, part);
         assert_eq!(stats.parts, 8);
+    }
+
+    #[test]
+    fn neurons_start_at_their_reset_potential() {
+        // b rests at v_reset = -1.0, so one 1.2 input leaves it at 0.2,
+        // below threshold 0.5: no engine may fire it. With decay the
+        // lazy update must also decay toward -1.0, not from 0.0.
+        for decay in [0.0, 0.5] {
+            let mut net = Network::new();
+            let params = LifParams {
+                v_reset: -1.0,
+                v_threshold: 0.5,
+                decay,
+            };
+            let a = net.add_neuron(params);
+            let b = net.add_neuron(params);
+            net.connect(a, b, 1.2, 1).unwrap();
+            let cfg = RunConfig::until_quiescent(10).with_raster();
+            let mono = EventEngine.run(&net, &[a], &cfg).unwrap();
+            assert!(!mono.fired(b));
+            for parts in [1, 2, 3] {
+                let part = PartitionedEngine::new(parts).run(&net, &[a], &cfg).unwrap();
+                assert_eq!(mono, part, "decay = {decay}, parts = {parts}");
+            }
+        }
     }
 
     #[test]

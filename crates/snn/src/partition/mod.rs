@@ -17,9 +17,9 @@
 //!   neuron → partition assignment ([`RangePartitioner`],
 //!   [`BfsGrowPartitioner`]).
 //! * [`plan`] — [`PartitionPlan::compile`] splits the CSR into frozen
-//!   sub-networks (via the `NetworkBuilder` counting-sort path) plus
-//!   [`CutSynapse`] tables, and accounts the whole footprint in
-//!   [`PartitionPlan::memory_bytes`].
+//!   sub-networks (each partition's rows walked once and written straight
+//!   into its CSR arrays) plus [`CutSynapse`] tables, and accounts the
+//!   whole footprint in [`PartitionPlan::memory_bytes`].
 //! * [`engine`] — [`PartitionedEngine`] and the per-partition phases of
 //!   a bulk-synchronous superstep: compute (the event engine's own
 //!   update step), then exchange [`channel::SpikeEvent`]s through one

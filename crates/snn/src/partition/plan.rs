@@ -2,10 +2,14 @@
 //! tables.
 //!
 //! Compilation splits each source neuron's CSR row into *intra* synapses
-//! (both endpoints in one partition — recompiled into that partition's
-//! sub-[`Network`] through the `NetworkBuilder` counting-sort path) and
+//! (both endpoints in one partition — re-addressed to local ids and
+//! written straight into that partition's sub-[`Network`] CSR arrays) and
 //! *cut* synapses (endpoints in different partitions — rewritten into
 //! [`CutSynapse`] entries that the engine turns into mailbox traffic).
+//! Rows arrive grouped by source and are walked in ascending local order,
+//! so the sub-network's CSR needs no staging buffer and no sort: it is
+//! emitted in its final layout, exactly what `NetworkBuilder` would build
+//! from the same re-addressed rows.
 //! Because the split is per source row and both halves keep CSR order,
 //! every target still receives its deliveries in the monolithic order
 //! once the engine's exchange merge recombines the streams.
@@ -16,10 +20,9 @@
 //! id, and a peer's outbound batch (fired list × cut rows) arrives sorted
 //! by global source id.
 
-use crate::builder::NetworkBuilder;
 use crate::engine::par_map;
 use crate::error::SnnError;
-use crate::network::Network;
+use crate::network::{CsrTopology, Network, Synapse};
 use crate::types::{NeuronId, Time};
 
 use super::cut::Partitioner;
@@ -31,8 +34,9 @@ use super::cut::Partitioner;
 pub const PARALLEL_COMPILE_MIN_WORK: usize = 32_768;
 
 /// One partition's compile output: the frozen sub-network, the
-/// CSR-style per-source offsets into the cut table, and the cut table.
-type BuiltPartition = (Network, Vec<usize>, Vec<CutSynapse>);
+/// CSR-style per-source offsets into the cut table, the cut table, and
+/// the partition's row of `pair_cut` (cut count per destination).
+type BuiltPartition = (Network, Vec<usize>, Vec<CutSynapse>, Vec<u64>);
 
 /// One boundary synapse, rewritten for mailbox transport: the owner of
 /// the source pushes `(due, target_local, weight)` to partition `part`
@@ -105,10 +109,15 @@ impl PartitionPlan {
     /// per-partition sub-network builds. The builds are independent
     /// (each reads the shared CSR and writes only its own partition's
     /// tables), so they fan out through [`crate::engine::par_map`]; the
-    /// resulting plan is identical to a sequential compile, and build
-    /// errors surface in partition order. Small compiles (below
-    /// [`PARALLEL_COMPILE_MIN_WORK`] neurons + synapses) stay sequential
-    /// — thread spawns would cost more than the build.
+    /// resulting plan is identical to a sequential compile. Small
+    /// compiles (below [`PARALLEL_COMPILE_MIN_WORK`] neurons + synapses)
+    /// stay sequential — thread spawns would cost more than the build.
+    ///
+    /// Each build walks its partition's source rows once, in ascending
+    /// local order, and writes the sub-network's CSR arrays and the cut
+    /// table directly at their exact sizes (counted in a first pass over
+    /// the same rows). The network is validated once up front, so no
+    /// synapse is checked twice.
     ///
     /// # Errors
     /// Fails when the network is invalid for event-style execution.
@@ -138,7 +147,11 @@ impl PartitionPlan {
         let params = net.params_slice();
 
         // Local ids in ascending global order (see module docs).
-        let mut globals: Vec<Vec<NeuronId>> = vec![Vec::new(); parts];
+        let mut sizes = vec![0usize; parts];
+        for &p in &assignment {
+            sizes[p as usize] += 1;
+        }
+        let mut globals: Vec<Vec<NeuronId>> = sizes.into_iter().map(Vec::with_capacity).collect();
         let mut local_of = vec![0u32; n];
         for g in 0..n {
             let p = assignment[g] as usize;
@@ -146,60 +159,74 @@ impl PartitionPlan {
             globals[p].push(NeuronId(g as u32));
         }
 
-        // Pre-count intra/cut synapses per partition for exact capacity.
-        let mut intra_counts = vec![0usize; parts];
-        let mut cut_counts = vec![0usize; parts];
-        let mut pair_cut = vec![0u64; parts * parts];
-        for g in 0..n {
-            let ps = assignment[g] as usize;
-            for s in csr.out(g) {
-                let pt = assignment[s.target.index()] as usize;
-                if pt == ps {
-                    intra_counts[ps] += 1;
-                } else {
-                    cut_counts[ps] += 1;
-                    pair_cut[ps * parts + pt] += 1;
-                }
-            }
-        }
-        let cut_edge_count = pair_cut.iter().sum();
-
-        // Per-partition sub-network builds: independent by construction
-        // (partition `p` reads the shared CSR and writes only its own
-        // builder + cut table), so they fan out through `par_map` when
-        // the compile is big enough to pay for the spawns. Results come
-        // back in partition order, so the compiled plan — and which
-        // error wins when several partitions fail — is identical to the
-        // sequential build.
-        let build_one = |p: usize| -> Result<BuiltPartition, SnnError> {
-            let mut b = NetworkBuilder::with_capacity(globals[p].len(), intra_counts[p]);
-            let mut offs = Vec::with_capacity(globals[p].len() + 1);
-            let mut cuts: Vec<CutSynapse> = Vec::with_capacity(cut_counts[p]);
-            offs.push(0);
-            for (l, &g) in globals[p].iter().enumerate() {
-                let local = b.add_neuron(params[g.index()]);
-                debug_assert_eq!(local.index(), l);
+        // Per-partition builds: independent by construction (partition
+        // `p` reads the shared CSR and writes only its own tables), so
+        // they fan out through `par_map` when the compile is big enough
+        // to pay for the spawns. Results come back in partition order, so
+        // the plan is identical to a sequential compile.
+        let build_one = |p: usize| -> BuiltPartition {
+            let rows = &globals[p];
+            // Count first, so every array is allocated at its exact size
+            // and `memory_bytes` stays exact.
+            let (mut intra, mut cut) = (0usize, 0usize);
+            let mut pair_cut = vec![0u64; parts];
+            for &g in rows {
                 for s in csr.out(g.index()) {
                     let pt = assignment[s.target.index()] as usize;
                     if pt == p {
-                        b.connect(
-                            local,
-                            NeuronId(local_of[s.target.index()]),
-                            s.weight,
-                            s.delay,
-                        );
+                        intra += 1;
+                    } else {
+                        cut += 1;
+                        pair_cut[pt] += 1;
+                    }
+                }
+            }
+
+            // Then fill: one walk over the rows in ascending local order.
+            // Each row's intra synapses keep their CSR order, so the
+            // sub-network's CSR is exactly what a builder would produce,
+            // with no staging and no sort. `net.validate` above already
+            // checked every synapse.
+            let mut sub_params = Vec::with_capacity(rows.len());
+            let mut offsets = Vec::with_capacity(rows.len() + 1);
+            let mut synapses = Vec::with_capacity(intra);
+            let mut cut_offsets = Vec::with_capacity(rows.len() + 1);
+            let mut cuts = Vec::with_capacity(cut);
+            let mut max_delay = 0u32;
+            offsets.push(0);
+            cut_offsets.push(0);
+            for &g in rows {
+                sub_params.push(params[g.index()]);
+                for s in csr.out(g.index()) {
+                    let t = s.target.index();
+                    let pt = assignment[t];
+                    if pt as usize == p {
+                        synapses.push(Synapse {
+                            target: NeuronId(local_of[t]),
+                            ..*s
+                        });
+                        max_delay = max_delay.max(s.delay);
                     } else {
                         cuts.push(CutSynapse {
-                            part: pt as u32,
-                            target_local: local_of[s.target.index()],
+                            part: pt,
+                            target_local: local_of[t],
                             weight: s.weight,
                             delay: s.delay,
                         });
                     }
                 }
-                offs.push(cuts.len());
+                offsets.push(synapses.len());
+                cut_offsets.push(cuts.len());
             }
-            Ok((b.build()?, offs, cuts))
+            let sub = Network::from_frozen(
+                sub_params,
+                CsrTopology::from_parts(offsets, synapses),
+                Vec::new(),
+                Vec::new(),
+                None,
+                max_delay,
+            );
+            (sub, cut_offsets, cuts, pair_cut)
         };
 
         let threads = if n + net.synapse_count() >= PARALLEL_COMPILE_MIN_WORK {
@@ -212,12 +239,14 @@ impl PartitionPlan {
         let mut subnets = Vec::with_capacity(parts);
         let mut cut_offsets = Vec::with_capacity(parts);
         let mut cut_syn = Vec::with_capacity(parts);
-        for r in built {
-            let (sub, offs, cuts) = r?;
+        let mut pair_cut = Vec::with_capacity(parts * parts);
+        for (sub, offs, cuts, pairs) in built {
             subnets.push(sub);
             cut_offsets.push(offs);
             cut_syn.push(cuts);
+            pair_cut.extend_from_slice(&pairs);
         }
+        let cut_edge_count = pair_cut.iter().sum();
 
         Ok(Self {
             parts,

@@ -53,7 +53,9 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// instances of.
 #[derive(Debug, Clone)]
 struct NetSpec {
-    neurons: Vec<(f64, u8)>, // (threshold, decay kind: 0 = integrator, 1 = gate, 2 = tau 0.5)
+    // (threshold, decay kind: 0 = integrator, 1 = gate, 2 = tau 0.5,
+    // reset potential of the tau-0.5 kind)
+    neurons: Vec<(f64, u8, f64)>,
     // (src, dst, weight, small delay, large delay, delay kind)
     synapses: Vec<(usize, usize, f64, u32, u32, u8)>,
     initial: Vec<usize>,
@@ -62,7 +64,10 @@ struct NetSpec {
 fn net_spec() -> impl Strategy<Value = NetSpec> {
     let n_range = 2usize..10;
     n_range.prop_flat_map(|n| {
-        let neurons = proptest::collection::vec((0.5f64..4.0, 0u8..3), n);
+        // Leaky neurons rest at a reset potential in [-1, 0], always at
+        // or below their threshold (input-driven), so every engine must
+        // start them there rather than at 0.
+        let neurons = proptest::collection::vec((0.5f64..4.0, 0u8..3, -1.0f64..=0.0), n);
         // Continuous weights: sums are order-sensitive in the last bits.
         // Delay kind 7 picks a beyond-horizon delay (wheel overflow path).
         let synapse = (0..n, 0..n, -2.5f64..3.5, 1u32..6, 4097u32..6000, 0u8..8);
@@ -81,12 +86,12 @@ fn build(spec: &NetSpec) -> (Network, Vec<NeuronId>) {
     let ids: Vec<NeuronId> = spec
         .neurons
         .iter()
-        .map(|&(threshold, kind)| {
+        .map(|&(threshold, kind, v_reset)| {
             let params = match kind {
                 0 => LifParams::integrator(threshold),
                 1 => LifParams::gate(threshold),
                 _ => LifParams {
-                    v_reset: 0.0,
+                    v_reset,
                     v_threshold: threshold,
                     decay: 0.5,
                 },

@@ -8,12 +8,19 @@
 //! under the threaded driver with two producers running concurrently) —
 //! plus conservation properties: cut traffic must equal the
 //! boundary-synapse share of `SimStats::synaptic_deliveries`, and the
-//! plan's memory accounting must cover the sum of its parts.
+//! plan's memory accounting must cover the sum of its parts. A
+//! differential proptest pins the plan compile's directly emitted
+//! sub-networks to what `NetworkBuilder` builds from the same rows.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sgl_snn::engine::{Engine, EventEngine, RunConfig, RunObserver, TimeSeriesObserver};
-use sgl_snn::partition::{CutStrategy, PartitionPlan, PartitionedEngine, RangePartitioner};
-use sgl_snn::{LifParams, Network, NeuronId};
+use sgl_snn::partition::plan::PARALLEL_COMPILE_MIN_WORK;
+use sgl_snn::partition::{
+    CutStrategy, CutSynapse, PartitionPlan, PartitionedEngine, RangePartitioner,
+};
+use sgl_snn::{LifParams, Network, NetworkBuilder, NeuronId};
 
 /// Observer that tallies `on_cut_traffic` per superstep — the per-tick
 /// view the conservation proptest checks against `SimStats`.
@@ -325,6 +332,163 @@ proptest! {
                 stats.workers.len() as u64 * (stats.supersteps - 1),
                 "threads = {}", threads
             );
+        }
+    }
+}
+
+/// A random input-driven network from `seed`: mixed LIF kinds (reset
+/// potentials in `[-1, 0]`), continuous weights, self-loops, parallel
+/// edges and the odd beyond-horizon delay. `big` nets exceed
+/// `PARALLEL_COMPILE_MIN_WORK`, so a multi-threaded compile really fans
+/// out.
+fn random_net(seed: u64, big: bool) -> Network {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (n, m) = if big {
+        let n = rng.gen_range(1500usize..2500);
+        (
+            n,
+            PARALLEL_COMPILE_MIN_WORK - n + rng.gen_range(0usize..4000),
+        )
+    } else {
+        (rng.gen_range(1usize..40), rng.gen_range(0usize..120))
+    };
+    let mut b = NetworkBuilder::with_capacity(n, m);
+    for _ in 0..n {
+        let v_threshold = rng.gen_range(0.5f64..4.0);
+        let decay = [0.0, 0.5, 1.0][rng.gen_range(0usize..3)];
+        let v_reset = if rng.gen_bool(0.5) {
+            0.0
+        } else {
+            rng.gen_range(-1.0f64..=0.0)
+        };
+        b.add_neuron(LifParams {
+            v_reset,
+            v_threshold,
+            decay,
+        });
+    }
+    let mut last: Option<(NeuronId, NeuronId)> = None;
+    for _ in 0..m {
+        let src = NeuronId(rng.gen_range(0..n) as u32);
+        let dst = match (rng.gen_range(0u8..8), last) {
+            (0, _) => src,                      // self-loop
+            (1, Some((s, d))) if s == src => d, // parallel edge
+            _ => NeuronId(rng.gen_range(0..n) as u32),
+        };
+        let delay = if rng.gen_range(0u8..16) == 0 {
+            rng.gen_range(4097u32..6000) // beyond the wheel horizon
+        } else {
+            rng.gen_range(1u32..6)
+        };
+        b.connect(src, dst, rng.gen_range(-2.5f64..3.5), delay);
+        last = Some((src, dst));
+    }
+    if rng.gen_bool(0.5) {
+        b.set_terminal(NeuronId(rng.gen_range(0..n) as u32));
+    }
+    b.build().unwrap()
+}
+
+/// The oracle for partition `p`: the sub-network `NetworkBuilder` builds
+/// from `p`'s rows re-addressed to local ids, plus its cut rows and its
+/// cut counts per destination partition.
+fn oracle(
+    net: &Network,
+    assignment: &[u32],
+    parts: usize,
+    p: usize,
+) -> (Network, Vec<Vec<CutSynapse>>, Vec<u64>) {
+    let mut local_of = vec![0u32; net.neuron_count()];
+    let mut counts = vec![0u32; parts];
+    for (g, &q) in assignment.iter().enumerate() {
+        local_of[g] = counts[q as usize];
+        counts[q as usize] += 1;
+    }
+    let rows: Vec<usize> = (0..net.neuron_count())
+        .filter(|&g| assignment[g] as usize == p)
+        .collect();
+    let intra = rows
+        .iter()
+        .flat_map(|&g| net.csr().out(g))
+        .filter(|s| assignment[s.target.index()] as usize == p)
+        .count();
+    let mut b = NetworkBuilder::with_capacity(rows.len(), intra);
+    let mut cut_rows = Vec::with_capacity(rows.len());
+    let mut pair_cut = vec![0u64; parts];
+    for &g in &rows {
+        let local = b.add_neuron(net.params_slice()[g]);
+        let mut cuts = Vec::new();
+        for s in net.csr().out(g) {
+            let t = s.target.index();
+            let q = assignment[t];
+            if q as usize == p {
+                b.connect(local, NeuronId(local_of[t]), s.weight, s.delay);
+            } else {
+                pair_cut[q as usize] += 1;
+                cuts.push(CutSynapse {
+                    part: q,
+                    target_local: local_of[t],
+                    weight: s.weight,
+                    delay: s.delay,
+                });
+            }
+        }
+        cut_rows.push(cuts);
+    }
+    (b.build().unwrap(), cut_rows, pair_cut)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Plan-compile differential: every sub-network the compile emits
+    /// directly must equal — parameters, CSR layout, max delay, memory
+    /// footprint, frozen state — the network `NetworkBuilder` builds from
+    /// the same re-addressed rows, and its cut tables must hold exactly
+    /// the remaining synapses in CSR order. A 4-thread compile must
+    /// reproduce the 1-thread plan, cut tables and accounting included.
+    #[test]
+    fn plan_compile_matches_builder_oracle(seed in 0u64..1_000_000, size in 0u8..4) {
+        let net = random_net(seed, size == 0);
+        for strategy in [CutStrategy::BfsGrow, CutStrategy::Range] {
+            for parts in [1usize, 2, 3, 4, 8] {
+                let assignment = strategy.partitioner().assign(&net, parts);
+                let plans: Vec<PartitionPlan> = [1, 4]
+                    .iter()
+                    .map(|&threads| {
+                        PartitionPlan::compile_with_threads(
+                            &net,
+                            parts,
+                            strategy.partitioner(),
+                            threads,
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let (seq, par) = (&plans[0], &plans[1]);
+                prop_assert_eq!(seq.assignment(), &assignment[..]);
+                prop_assert_eq!(seq.memory_bytes(), par.memory_bytes());
+                prop_assert_eq!(seq.cut_edge_count(), par.cut_edge_count());
+                for p in 0..parts {
+                    let (expected, cut_rows, pair_cut) = oracle(&net, &assignment, parts, p);
+                    for plan in &plans {
+                        let sub = plan.subnet(p);
+                        prop_assert_eq!(sub.params_slice(), expected.params_slice());
+                        prop_assert_eq!(sub.csr(), expected.csr());
+                        prop_assert_eq!(sub.max_delay(), expected.max_delay());
+                        prop_assert_eq!(sub.memory_bytes(), expected.memory_bytes());
+                        prop_assert_eq!(sub.is_frozen(), expected.is_frozen());
+                        prop_assert_eq!(sub.terminal(), None);
+                        prop_assert!(sub.inputs().is_empty() && sub.outputs().is_empty());
+                        for (l, cuts) in cut_rows.iter().enumerate() {
+                            prop_assert_eq!(plan.cut_out(p, l), &cuts[..]);
+                        }
+                        for (q, &count) in pair_cut.iter().enumerate() {
+                            prop_assert_eq!(plan.pair_cut(p, q), count);
+                        }
+                    }
+                }
+            }
         }
     }
 }

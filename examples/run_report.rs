@@ -127,24 +127,26 @@ fn render_partition_report(report: &RunReport, path: &str) {
             .iter()
             .map(|c| c.as_str().unwrap_or("?").to_string())
             .collect();
-        println!(
-            "  {:<8} {:>10} {:>13} {:>14} {:>9}",
-            head[0], head[1], head[2], head[3], head[4]
-        );
+        let line = |c: &[String]| {
+            let mut out = format!("  {:<8}", c[0]);
+            for cell in &c[1..] {
+                out.push_str(&format!(" {cell:>13}"));
+            }
+            out
+        };
+        println!("{}", line(&head));
         // Speedup per rung = event_median / rung_median, i.e. the
         // inverse of the emitted `vs_event` ratio; 100 = parity.
+        let vs_event = head.iter().position(|h| h == "vs_event");
         let mut speedups = Vec::new();
         for row in rows {
             let c = cells(row);
             if c.len() != head.len() {
                 continue;
             }
-            println!(
-                "  {:<8} {:>10} {:>13} {:>14} {:>9}",
-                c[0], c[1], c[2], c[3], c[4]
-            );
+            println!("{}", line(&c));
             if c[0] != "event" {
-                if let Ok(ratio) = c[4].parse::<f64>() {
+                if let Some(Ok(ratio)) = vs_event.map(|i| c[i].parse::<f64>()) {
                     speedups.push((100.0 / ratio.max(0.01)).round() as u64);
                 }
             }
