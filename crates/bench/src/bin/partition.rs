@@ -20,7 +20,8 @@
 //!
 //! Each rung's [`PartitionedEngine::compile`] is timed too — every
 //! `EngineChoice::prepare` of a partitioned net pays it — and lands in the
-//! `compile` column of the cut-traffic table.
+//! `compile` column of the cut-traffic table, beside the compiled plan's
+//! [`PartitionPlan::memory_bytes`] in MB (`plan_mb`).
 //!
 //! Emits `SGL_BENCH_JSON` lines (`group: "partition"`, ids `event/<n>`,
 //! `p1/<n>` ... `p8/<n>`, `p<K>t<T>/<n>` for the threaded sweep, and
@@ -123,6 +124,7 @@ fn main() {
             "-".into(),
             "-".into(),
             "-".into(),
+            "-".into(),
             format!("{event_median:?}"),
             "1.00".into(),
         ]);
@@ -156,6 +158,7 @@ fn main() {
                 stats.cut_edges.to_string(),
                 stats.cut_messages.to_string(),
                 format!("{compile:?}"),
+                format!("{:.1}", plan.memory_bytes() as f64 / 1e6),
                 format!("{median:?}"),
                 format!("{rel:.2}"),
             ]);
@@ -221,6 +224,7 @@ fn main() {
                 "cut_edges",
                 "cut_messages",
                 "compile",
+                "plan_mb",
                 "median",
                 "vs_event",
             ],

@@ -128,6 +128,48 @@ impl RunScratch {
         self.bp_fired_words.clear();
         self.bp_overflow.clear();
     }
+
+    /// Resets for `net` (see [`Self::reset`]) and lends out the event
+    /// engine's lazy-decay arrays as one disjoint [`LazyRange`] per id
+    /// range `bounds[q]..bounds[q + 1]`: the partitioned engine's
+    /// per-partition neuron state, borrowed rather than copied.
+    pub(crate) fn split_ranges(&mut self, net: &Network, bounds: &[usize]) -> Vec<LazyRange<'_>> {
+        self.reset(net);
+        split_at_bounds(&mut self.voltages, bounds)
+            .into_iter()
+            .zip(split_at_bounds(&mut self.last_update, bounds))
+            .zip(split_at_bounds(&mut self.syn, bounds))
+            .zip(split_at_bounds(&mut self.dirty, bounds))
+            .map(|(((voltages, last_update), accum), dirty)| LazyRange {
+                voltages,
+                last_update,
+                accum,
+                dirty,
+            })
+            .collect()
+    }
+}
+
+/// `items` cut into one disjoint `&mut` chunk per range
+/// `bounds[q]..bounds[q + 1]`.
+pub(crate) fn split_at_bounds<'s, T>(mut items: &'s mut [T], bounds: &[usize]) -> Vec<&'s mut [T]> {
+    bounds
+        .windows(2)
+        .map(|w| {
+            let (chunk, rest) = std::mem::take(&mut items).split_at_mut(w[1] - w[0]);
+            items = rest;
+            chunk
+        })
+        .collect()
+}
+
+/// One id range's share of a [`RunScratch`]'s lazy-decay arrays, indexed
+/// by range-local id (see [`RunScratch::split_ranges`]).
+pub(crate) struct LazyRange<'s> {
+    pub(crate) voltages: &'s mut [f64],
+    pub(crate) last_update: &'s mut [Time],
+    pub(crate) accum: &'s mut [f64],
+    pub(crate) dirty: &'s mut [bool],
 }
 
 /// Density crossover for [`EngineChoice::Auto`], as an inverse fraction
@@ -357,11 +399,12 @@ enum Resolved {
 
 impl<N: Borrow<Network>> Prepared<N> {
     /// Runs the prepared network with spikes induced in `initial_spikes`
-    /// at `t = 0`, calling `obs.on_finish` once the run succeeds. The
-    /// monolithic engines take all transient state from `scratch` (reset,
-    /// not reallocated, on entry — results are bit-identical to a fresh
-    /// scratch); the partitioned engine keeps per-partition state of its
-    /// own and leaves `scratch` untouched.
+    /// at `t = 0`, calling `obs.on_finish` once the run succeeds. Every
+    /// engine takes its transient neuron state from `scratch` (reset, not
+    /// reallocated, on entry — results are bit-identical to a fresh
+    /// scratch); the partitioned engine resets it for the plan's
+    /// renumbered network and gives each partition its id range's slice,
+    /// keeping only wheels, spike lists and mailboxes per run.
     ///
     /// The observer type monomorphizes: with [`NullObserver`] every hook
     /// call and every `O::ENABLED` gate compiles away. The event-driven
@@ -393,7 +436,7 @@ impl<N: Borrow<Network>> Prepared<N> {
             }
             Resolved::Partitioned { plan, threads } => {
                 return plan
-                    .run_observed_threaded(initial_spikes, config, *threads, obs)
+                    .run_in(initial_spikes, config, *threads, scratch, obs)
                     .map(|(result, _)| result);
             }
         }?;

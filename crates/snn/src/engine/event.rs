@@ -177,7 +177,8 @@ pub(crate) struct LazyState<'a> {
 /// The wheel yields deliveries in scheduling order — the same order the
 /// dense engines accumulate in — so per-target sums are bit-identical
 /// across engines. The event engine runs this over the whole network;
-/// the partitioned engine runs it per partition over local ids.
+/// the partitioned engine runs it per partition, over the partition's
+/// id-range slice of the same scratch arrays.
 pub(crate) fn update_step(
     t: Time,
     params: &[LifParams],

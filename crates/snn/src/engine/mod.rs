@@ -19,6 +19,7 @@ pub use batch::{
     run_jobs, summarize, BatchRunner, EngineChoice, Prepared, RunScratch, RunSpec,
     DEFAULT_PARTITION_MEMORY_BUDGET,
 };
+pub(crate) use batch::{split_at_bounds, LazyRange};
 pub use bitplane::BitplaneEngine;
 pub use dense::DenseEngine;
 pub use event::EventEngine;
@@ -255,8 +256,8 @@ impl Recorder {
 
     /// [`Self::new`] from a network *shape* (neuron count + terminal)
     /// instead of a `Network`. The partitioned engine records against
-    /// global ids, but at run time it only holds per-partition
-    /// sub-networks — the original network's shape lives in the plan.
+    /// original ids, but at run time it only holds the plan's renumbered
+    /// network — the original network's shape lives in the plan.
     pub(crate) fn with_shape(
         n: usize,
         net_terminal: Option<NeuronId>,

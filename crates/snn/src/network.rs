@@ -37,7 +37,7 @@ impl CsrTopology {
     /// Assembles a topology from pre-sorted parts — the bulk compilers'
     /// entry point ([`crate::builder::NetworkBuilder`] counting-sorts
     /// straight into these arrays, and the partition-plan compile writes
-    /// each sub-network's rows into them directly; no per-neuron
+    /// the renumbered rows into them directly; no per-neuron
     /// allocations, no build-side adjacency ever exists).
     pub(crate) fn from_parts(offsets: Vec<usize>, synapses: Vec<Synapse>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);

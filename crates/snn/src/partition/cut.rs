@@ -82,9 +82,9 @@ pub struct BfsGrowPartitioner;
 impl Partitioner for BfsGrowPartitioner {
     fn assign(&self, net: &Network, parts: usize) -> Vec<u32> {
         let n = net.neuron_count();
-        let parts = parts.max(1);
-        if n == 0 {
-            return Vec::new();
+        // One region (or no neuron) needs no adjacency.
+        if parts <= 1 || n == 0 {
+            return vec![0; n];
         }
         let csr = net.csr();
 

@@ -51,7 +51,7 @@ use sgl_observe::{RunObserver, SchedulerStats, StepRecord};
 
 use crate::engine::event::{update_step, LazyState};
 use crate::engine::sync::SpinBarrier;
-use crate::engine::{Recorder, RunConfig, RunResult, StopReason};
+use crate::engine::{LazyRange, Recorder, RunConfig, RunResult, RunScratch, StopReason};
 use crate::error::SnnError;
 use crate::types::{NeuronId, Time};
 
@@ -61,10 +61,14 @@ use super::engine::{
 };
 use super::plan::PartitionPlan;
 
+/// One partition as a worker owns it: its index, its own run state, and
+/// its id range's slice of the run scratch.
+type Part<'s> = (usize, PartState, LazyRange<'s>);
+
 /// One worker's outputs for one superstep, folded by the coordinator.
 #[derive(Default)]
 struct WorkerOut {
-    /// Global ids fired by this worker's partitions (concatenated in
+    /// Original ids fired by this worker's partitions (concatenated in
     /// owned-partition order; the fold re-sorts globally).
     fired: Vec<NeuronId>,
     /// Sum of wheel-drain batch lengths across owned partitions.
@@ -88,14 +92,17 @@ struct WorkerOut {
     wait_ns: u64,
 }
 
-/// Runs `plan` with spikes induced in `initial_spikes` (global ids) at
-/// `t = 0` on `threads` workers, capped at the busy-partition count.
-/// Everything but the final `on_finish` hook.
+/// Runs `plan` with spikes induced in `initial_spikes` (original ids) at
+/// `t = 0` on `threads` workers, capped at the busy-partition count,
+/// taking the neuron state from `scratch` (reset for the renumbered
+/// network, then split by partition range). Everything but the final
+/// `on_finish` hook.
 pub(super) fn run<O: RunObserver>(
     plan: &PartitionPlan,
     initial_spikes: &[NeuronId],
     config: &RunConfig,
     threads: usize,
+    scratch: &mut RunScratch,
     obs: &mut O,
 ) -> Result<(RunResult, PartitionRunStats), SnnError> {
     let p = plan.parts();
@@ -105,11 +112,11 @@ pub(super) fn run<O: RunObserver>(
         }
     }
     let rec = Recorder::with_shape(plan.neuron_count(), plan.terminal(), config)?;
-    let mut all: Vec<(usize, PartState)> = (0..p)
-        .map(|q| {
-            let params = plan.subnet(q).params_slice();
-            (q, PartState::new(params, plan.max_delay(), p))
-        })
+    let mut all: Vec<Part<'_>> = scratch
+        .split_ranges(plan.network(), plan.bounds())
+        .into_iter()
+        .enumerate()
+        .map(|(q, lazy)| (q, PartState::new(plan.max_delay(), p), lazy))
         .collect();
     // One mailbox per ordered pair with at least one cut synapse.
     let mailboxes: Vec<Option<Mailbox>> = (0..p * p)
@@ -121,10 +128,7 @@ pub(super) fn run<O: RunObserver>(
 
     // A worker can only be busy when it owns a non-empty partition, so
     // cap the pool at the busy-partition count; one worker runs inline.
-    let busy_parts = (0..p)
-        .filter(|&q| plan.subnet(q).neuron_count() > 0)
-        .count()
-        .max(1);
+    let busy_parts = (0..p).filter(|&q| !plan.range(q).is_empty()).count().max(1);
     let workers = threads.clamp(1, busy_parts);
     let cells: Vec<Mutex<WorkerOut>> = (0..workers).map(|_| Mutex::default()).collect();
     let mut coord = Coordinator {
@@ -147,8 +151,9 @@ pub(super) fn run<O: RunObserver>(
     initial.sort_unstable();
     initial.dedup();
     for id in initial {
-        let q = plan.assignment()[id.index()] as usize;
-        all[q].1.fired.push(NeuronId(plan.local_of()[id.index()]));
+        let i = plan.new_id(id).index();
+        let q = plan.part_of(i);
+        all[q].1.fired.push(NeuronId((i - plan.bounds()[q]) as u32));
     }
     let mut inline = |t: Time| {
         let mut out = cells[0].lock().expect("worker cell poisoned");
@@ -161,9 +166,9 @@ pub(super) fn run<O: RunObserver>(
     // A run that ends at t = 0 never spawns a pool, and reports the one
     // worker that ran it.
     let (steps, reason) = if workers > 1 && first.is_continue() {
-        let mut owned: Vec<Vec<(usize, PartState)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (q, st) in all {
-            owned[q % workers].push((q, st));
+        let mut owned: Vec<Vec<Part<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+        for part in all {
+            owned[part.0 % workers].push(part);
         }
         coord.workers = owned
             .iter()
@@ -222,28 +227,28 @@ pub(super) fn run<O: RunObserver>(
 fn superstep<O: RunObserver>(
     plan: &PartitionPlan,
     mailboxes: &[Option<Mailbox>],
-    mine: &mut [(usize, PartState)],
+    mine: &mut [Part<'_>],
     t: Time,
     out: &mut WorkerOut,
     publish: impl FnOnce(),
 ) {
     out.batch = 0;
     out.updates = 0;
-    for (q, st) in mine.iter_mut() {
+    for (q, st, lazy) in mine.iter_mut() {
         // Every wheel is drained at every superstep — including empty
         // ones — so each partition clock stays equal to the monolithic
         // clock (horizon classification depends on `now`).
         if t > 0 {
             let (batch, updates) = update_step(
                 t,
-                plan.subnet(*q).params_slice(),
+                &plan.network().params_slice()[plan.range(*q)],
                 &mut st.wheel,
                 LazyState {
                     batch: &mut st.batch,
-                    voltages: &mut st.voltages,
-                    last_update: &mut st.last_update,
-                    accum: &mut st.accum,
-                    dirty: &mut st.dirty,
+                    voltages: lazy.voltages,
+                    last_update: lazy.last_update,
+                    accum: lazy.accum,
+                    dirty: lazy.dirty,
                     touched: &mut st.touched,
                 },
                 &mut st.fired,
@@ -261,17 +266,17 @@ fn superstep<O: RunObserver>(
     out.tick_traffic.resize(p * p, 0);
     out.deliveries = 0;
     out.next_time = None;
-    for (q, st) in mine.iter_mut() {
+    for (q, st, _) in mine.iter_mut() {
         out.deliveries += merge_schedule(plan, *q, st, mailboxes, t, &mut out.tick_traffic);
-        let globals = plan.globals(*q);
+        let source_of = &plan.source_of()[plan.range(*q)];
         out.fired
-            .extend(st.fired.iter().map(|l| globals[l.index()]));
+            .extend(st.fired.iter().map(|l| source_of[l.index()]));
         if let Some(nt) = st.wheel.next_time() {
             out.next_time = Some(out.next_time.map_or(nt, |b| b.min(nt)));
         }
     }
     if O::ENABLED {
-        out.sched = aggregate_scheduler(mine.iter().map(|(_, st)| st));
+        out.sched = aggregate_scheduler(mine.iter().map(|(_, st, _)| st));
     }
 }
 
@@ -281,7 +286,7 @@ struct Coordinator<'a, O> {
     config: &'a RunConfig,
     obs: &'a mut O,
     rec: Recorder,
-    /// This superstep's fired global ids, sorted.
+    /// This superstep's fired original ids, sorted.
     fired: Vec<NeuronId>,
     /// This superstep's inbound message counts, summed over the cells.
     tick_traffic: Vec<u64>,
@@ -414,7 +419,7 @@ impl<O: RunObserver> Coordinator<'_, O> {
 fn worker_loop<O: RunObserver>(
     plan: &PartitionPlan,
     mailboxes: &[Option<Mailbox>],
-    mut mine: Vec<(usize, PartState)>,
+    mut mine: Vec<Part<'_>>,
     cell: &Mutex<WorkerOut>,
     barrier: &SpinBarrier,
     cur_t: &AtomicU64,

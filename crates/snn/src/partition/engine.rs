@@ -5,27 +5,28 @@
 //!
 //! 1. **Compute** — every partition drains its own scheduler wheel at `t`
 //!    and updates exactly the neurons that received input (the event
-//!    engine's own lazy-decay update step, over local ids). Because
-//!    every synapse has delay >= 1, nothing a partition does at `t` can
-//!    affect another partition at `t` — the exchange horizon is exactly
-//!    one tick, so the compute phase needs no communication at all.
+//!    engine's own lazy-decay update step, over its id range's slice of
+//!    the run scratch). Because every synapse has delay >= 1, nothing a
+//!    partition does at `t` can affect another partition at `t` — the
+//!    exchange horizon is exactly one tick, so the compute phase needs no
+//!    communication at all.
 //! 2. **Exchange** — the barrier. Owners append one [`SpikeEvent`] per
-//!    cut synapse of each fired source to the destination's mailbox;
-//!    then every partition schedules *all* deliveries addressed to it —
-//!    its own intra-partition routing and each inbound mailbox stream —
-//!    via a k-way merge by global source id.
+//!    out-of-range synapse of each fired source to the destination's
+//!    mailbox; then every partition schedules *all* deliveries addressed
+//!    to it — its own in-range routing and each inbound mailbox stream —
+//!    via a k-way merge by original source id.
 //!
 //! The merge is the bit-identity argument: monolithic engines schedule in
-//! (sorted global firing id) × (CSR synapse order). Local ids ascend with
-//! global ids, so a partition's fired list and every inbound mailbox
-//! stream are each sorted by global source id, with disjoint sources;
-//! merging them by source id therefore replays the exact monolithic
-//! scheduling order into each partition wheel, and the wheels (sized to
-//! the *global* max delay so horizon classification matches) drain in
-//! scheduling order. Per-target floating-point accumulation order — and
-//! with it every `RunResult` bit — is preserved.
+//! (sorted original firing id) × (CSR synapse order). New ids ascend with
+//! original ids inside each range, so a partition's fired list and every
+//! inbound mailbox stream are each sorted by original source id, with
+//! disjoint sources; merging them by source id therefore replays the
+//! exact monolithic scheduling order into each partition wheel, and the
+//! wheels (sized to the *global* max delay so horizon classification
+//! matches) drain in scheduling order. Per-target floating-point
+//! accumulation order — and with it every `RunResult` bit — is preserved.
 //!
-//! One superstep loop (the private `driver` module) runs these phases at
+//! One superstep loop (the `driver` module) runs these phases at
 //! every thread count: each worker runs them over the partitions it
 //! owns, and a one-worker run — `threads <= 1`, or a plan with at most
 //! one non-empty partition — runs them inline on the calling thread, so
@@ -37,10 +38,9 @@ use std::sync::Mutex;
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats};
 
 use crate::engine::wheel::TimeWheel;
-use crate::engine::{Engine, RunConfig, RunResult};
+use crate::engine::{Engine, RunConfig, RunResult, RunScratch};
 use crate::error::SnnError;
 use crate::network::Network;
-use crate::params::LifParams;
 use crate::types::{NeuronId, Time};
 
 use super::channel::SpikeEvent;
@@ -116,17 +116,15 @@ pub struct PartitionRunStats {
     pub imbalance_mean: f64,
 }
 
-/// Per-partition run state: the partition's scheduler wheel plus the
-/// event engine's lazy-decay bookkeeping, all indexed by local id.
+/// Per-partition run state beside its slice of the run scratch: wheel,
+/// spike lists and exchange buffers, by range-local id (new id minus the
+/// range start).
 pub(super) struct PartState {
     pub(super) wheel: TimeWheel,
     pub(super) batch: Vec<(NeuronId, f64)>,
-    /// Local ids fired this superstep, ascending (== ascending global).
+    /// Range-local ids fired this superstep, ascending (== ascending
+    /// original id).
     pub(super) fired: Vec<NeuronId>,
-    pub(super) voltages: Vec<f64>,
-    pub(super) last_update: Vec<Time>,
-    pub(super) accum: Vec<f64>,
-    pub(super) dirty: Vec<bool>,
     pub(super) touched: Vec<NeuronId>,
     /// Per-peer inbound event buffers, swapped with the peers' mailboxes
     /// each superstep so capacity recycles.
@@ -136,11 +134,8 @@ pub(super) struct PartState {
 }
 
 impl PartState {
-    /// Fresh state for a partition whose neurons (by local id) have
-    /// `params`: voltages start at each neuron's `v_reset`, as in every
-    /// monolithic engine.
-    pub(super) fn new(params: &[LifParams], global_max_delay: u32, parts: usize) -> Self {
-        let local_count = params.len();
+    /// Fresh state for one partition of a `parts`-partition run.
+    pub(super) fn new(global_max_delay: u32, parts: usize) -> Self {
         Self {
             // Sized to the *global* max delay: in-horizon vs overflow
             // classification must match the monolithic wheel (see
@@ -148,10 +143,6 @@ impl PartState {
             wheel: TimeWheel::new(global_max_delay),
             batch: Vec::new(),
             fired: Vec::new(),
-            voltages: params.iter().map(|p| p.v_reset).collect(),
-            last_update: vec![0; local_count],
-            accum: vec![0.0; local_count],
-            dirty: vec![false; local_count],
             touched: Vec::new(),
             inbox: vec![Vec::new(); parts],
             merge_idx: vec![0; parts],
@@ -178,7 +169,7 @@ pub(super) fn aggregate_scheduler<'a>(
 }
 
 impl PartitionPlan {
-    /// Runs the plan with spikes induced in `initial_spikes` (global ids)
+    /// Runs the plan with spikes induced in `initial_spikes` (original ids)
     /// at `t = 0`, driven by `threads` worker threads (capped at the
     /// busy-partition count; one worker runs inline on the calling
     /// thread), and returns the run stats with the result — including the
@@ -219,7 +210,23 @@ impl PartitionPlan {
         threads: usize,
         obs: &mut O,
     ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        let (result, stats) = super::driver::run(self, initial_spikes, config, threads, obs)?;
+        self.run_in(initial_spikes, config, threads, &mut RunScratch::new(), obs)
+    }
+
+    /// [`Self::run_observed_threaded`] on the caller's `scratch`: reset
+    /// for the renumbered network, then split by partition range. Every
+    /// partitioned run, [`crate::engine::Prepared::run`]'s included,
+    /// goes through here.
+    pub(crate) fn run_in<O: RunObserver>(
+        &self,
+        initial_spikes: &[NeuronId],
+        config: &RunConfig,
+        threads: usize,
+        scratch: &mut RunScratch,
+        obs: &mut O,
+    ) -> Result<(RunResult, PartitionRunStats), SnnError> {
+        let (result, stats) =
+            super::driver::run(self, initial_spikes, config, threads, scratch, obs)?;
         obs.on_finish(
             result.steps,
             result.stats.spike_events,
@@ -237,7 +244,6 @@ impl PartitionPlan {
         let p = self.parts();
         let mut out = PartitionRunStats {
             parts: p,
-            threads: 1,
             cut_edges: self.cut_edge_count(),
             supersteps,
             ..PartitionRunStats::default()
@@ -261,12 +267,12 @@ impl PartitionPlan {
 }
 
 /// The publish half of the exchange for one partition: one [`SpikeEvent`]
-/// per (fired source) × (cut synapse), appended to the destination's
-/// mailbox. In a pooled run this runs concurrently across partitions, but
-/// each mailbox still has exactly one producer (the owner of `q`) and no
-/// reader until the publish barrier, so within a mailbox the push order
-/// is `q`'s fired order × CSR order at any thread count. A plan with an
-/// empty cut skips the scan entirely.
+/// per (fired source) × (synapse whose target lies outside `q`'s range),
+/// appended to the destination's mailbox. In a pooled run this runs
+/// concurrently across partitions, but each mailbox still has exactly one
+/// producer (the owner of `q`) and no reader until the publish barrier,
+/// so within a mailbox the push order is `q`'s fired order × CSR order at
+/// any thread count. A plan with an empty cut skips the scan entirely.
 pub(super) fn publish_cut(
     plan: &PartitionPlan,
     q: usize,
@@ -278,24 +284,27 @@ pub(super) fn publish_cut(
         return;
     }
     let p = plan.parts();
+    let range = plan.range(q);
+    let csr = plan.network().csr();
     for &l in fired {
-        let cuts = plan.cut_out(q, l.index());
-        if cuts.is_empty() {
-            continue;
-        }
-        let src = plan.globals(q)[l.index()].0;
-        for c in cuts {
-            mailboxes[q * p + c.part as usize]
+        let i = range.start + l.index();
+        for s in csr.out(i) {
+            let target = s.target.index();
+            if range.contains(&target) {
+                continue;
+            }
+            let to = plan.part_of(target);
+            mailboxes[q * p + to]
                 .as_ref()
                 .expect("cut synapse implies a mailbox")
                 .events
                 .lock()
                 .expect("mailbox poisoned")
                 .push(SpikeEvent {
-                    src,
-                    due: PartitionPlan::due(t, c),
-                    target_local: c.target_local,
-                    weight: c.weight,
+                    src: plan.source_of()[i].0,
+                    due: t + Time::from(s.delay),
+                    target_local: (target - plan.bounds()[to]) as u32,
+                    weight: s.weight,
                 });
         }
     }
@@ -304,8 +313,8 @@ pub(super) fn publish_cut(
 /// The schedule half of the exchange for one partition: take every
 /// inbound mailbox (a `Vec` swap with the cleared inbox, so no event is
 /// copied and both buffers keep their capacity), then k-way merge the
-/// disjoint-source streams (own intra-partition routing + one stream per
-/// peer) into the wheel by global source id. Returns the deliveries
+/// disjoint-source streams (own in-range routing + one stream per peer)
+/// into the wheel by original source id. Returns the deliveries
 /// scheduled; inbound message counts accumulate into
 /// `tick_traffic[peer * parts + q]`.
 pub(super) fn merge_schedule(
@@ -317,8 +326,23 @@ pub(super) fn merge_schedule(
     tick_traffic: &mut [u64],
 ) -> u64 {
     let p = plan.parts();
-    let csr = plan.subnet(q).csr();
-    let globals = plan.globals(q);
+    let csr = plan.network().csr();
+    let range = plan.range(q);
+    let (lo, len) = (range.start, range.len());
+    let source_of = &plan.source_of()[range];
+    // Routes own source `l`'s in-range synapses (the rest went out through
+    // `publish_cut`); one compare tests `lo <= target < lo + len`.
+    let route_own = |l: NeuronId, wheel: &mut TimeWheel| {
+        let mut routed = 0;
+        for s in csr.out(lo + l.index()) {
+            let local = s.target.index().wrapping_sub(lo);
+            if local < len {
+                wheel.schedule(t + Time::from(s.delay), NeuronId(local as u32), s.weight);
+                routed += 1;
+            }
+        }
+        routed
+    };
     let PartState {
         wheel,
         fired,
@@ -349,26 +373,23 @@ pub(super) fn merge_schedule(
 
     // Nothing inbound (always true at one partition, and the common case
     // on quiet boundaries): own-fired is the only stream, already in
-    // ascending global order — route it directly, skipping the per-source
-    // merge scan.
+    // ascending original order — route it directly, skipping the
+    // per-source merge scan.
     if inbound == 0 {
         for &l in fired.iter() {
-            for s in csr.out(l.index()) {
-                wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
-                deliveries += 1;
-            }
+            deliveries += route_own(l, wheel);
         }
         return deliveries;
     }
 
     let mut own_i = 0usize;
     loop {
-        // Lowest next global source across own fired + inboxes.
+        // Lowest next original source across own fired + inboxes.
         let mut best_src = u32::MAX;
         let mut best_stream = p; // p = the own-fired stream
         let mut found = false;
         if own_i < fired.len() {
-            best_src = globals[fired[own_i].index()].0;
+            best_src = source_of[fired[own_i].index()].0;
             found = true;
         }
         for peer in 0..p {
@@ -384,12 +405,8 @@ pub(super) fn merge_schedule(
             break;
         }
         if best_stream == p {
-            let l = fired[own_i].index();
+            deliveries += route_own(fired[own_i], wheel);
             own_i += 1;
-            for s in csr.out(l) {
-                wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
-                deliveries += 1;
-            }
         } else {
             // Consume the whole same-source group (events arrive grouped
             // by source, in CSR order within a group).
@@ -503,6 +520,7 @@ impl Engine for PartitionedEngine {
 mod tests {
     use super::*;
     use crate::engine::{EventEngine, StopReason};
+    use crate::params::LifParams;
 
     fn chain(n: usize, delay: u32) -> Network {
         let mut net = Network::new();

@@ -6,25 +6,27 @@
 //! that stops fitting. This module follows the multi-chip scaling recipe
 //! of von Seeler et al. (*Road to scalability for efficient graph search
 //! on massively parallel neuromorphic hardware*): partition the neuron
-//! set, compile one frozen sub-network per partition, run the partitions
-//! independently, and pay only for cut-edge spike traffic — all
-//! inter-partition communication is pure spike events, per Hamilton,
-//! Mintz & Schuman's spike-based primitives discipline.
+//! set, renumber the network once so each partition owns one contiguous
+//! id range, run the partitions independently, and pay only for cut-edge
+//! spike traffic — all inter-partition communication is pure spike
+//! events, per Hamilton, Mintz & Schuman's spike-based primitives
+//! discipline.
 //!
 //! Four layers:
 //!
 //! * [`cut`] — pluggable [`Partitioner`] strategies producing a
 //!   neuron → partition assignment ([`RangePartitioner`],
 //!   [`BfsGrowPartitioner`]).
-//! * [`plan`] — [`PartitionPlan::compile`] splits the CSR into frozen
-//!   sub-networks (each partition's rows walked once and written straight
-//!   into its CSR arrays) plus [`CutSynapse`] tables, and accounts the
-//!   whole footprint in [`PartitionPlan::memory_bytes`].
+//! * [`plan`] — [`PartitionPlan::compile`] renumbers the network into one
+//!   frozen [`crate::Network`] in which partition `q` owns the id range
+//!   `bounds[q]..bounds[q + 1]` (a synapse is cut exactly when its target
+//!   lies outside that range), accounted by [`PartitionPlan::memory_bytes`].
 //! * [`engine`] — [`PartitionedEngine`] and the per-partition phases of
 //!   a bulk-synchronous superstep: compute (the event engine's own
-//!   update step), then exchange [`channel::SpikeEvent`]s through one
-//!   per-run mailbox per ordered partition pair with a cut edge — a
-//!   plain `Vec` the barrier hands from producer to consumer. Because
+//!   update step over the partition's slice of one
+//!   [`crate::engine::RunScratch`]), then exchange [`channel::SpikeEvent`]s
+//!   through one per-run mailbox per ordered partition pair with a cut
+//!   edge — a plain `Vec` the barrier hands from producer to consumer. Because
 //!   every synapse has delay >= 1, the exchange horizon is exactly one
 //!   tick.
 //! * `driver` — the one superstep loop, for every thread count: each
@@ -51,4 +53,4 @@ pub mod plan;
 pub use channel::SpikeEvent;
 pub use cut::{BfsGrowPartitioner, CutStrategy, Partitioner, RangePartitioner};
 pub use engine::{ChannelTraffic, PartitionRunStats, PartitionedEngine, WorkerStats};
-pub use plan::{CutSynapse, PartitionPlan};
+pub use plan::PartitionPlan;

@@ -1,80 +1,54 @@
-//! Partition plans: a network compiled into frozen sub-networks plus cut
-//! tables.
+//! Partition plans: one network, renumbered so that every partition owns
+//! one contiguous id range.
 //!
-//! Compilation splits each source neuron's CSR row into *intra* synapses
-//! (both endpoints in one partition — re-addressed to local ids and
-//! written straight into that partition's sub-[`Network`] CSR arrays) and
-//! *cut* synapses (endpoints in different partitions — rewritten into
-//! [`CutSynapse`] entries that the engine turns into mailbox traffic).
-//! Rows arrive grouped by source and are walked in ascending local order,
-//! so the sub-network's CSR needs no staging buffer and no sort: it is
-//! emitted in its final layout, exactly what `NetworkBuilder` would build
-//! from the same re-addressed rows.
-//! Because the split is per source row and both halves keep CSR order,
-//! every target still receives its deliveries in the monolithic order
-//! once the engine's exchange merge recombines the streams.
+//! Compilation runs the partitioner, then one stable counting sort of the
+//! neurons by partition: partition `q` owns the new ids
+//! `bounds[q]..bounds[q + 1]`, in ascending original id. The plan's one
+//! frozen [`Network`] holds every neuron's params and CSR row in that new
+//! order, each row's synapses in their original CSR order with targets
+//! renumbered — exactly what `NetworkBuilder` builds from the same rows.
+//! A synapse is *cut* exactly when its target lies outside its source's
+//! range, so no per-partition sub-network and no cut table exist: the
+//! engine routes in-range synapses into the partition's own wheel and
+//! sends the rest through the destination's mailbox.
 //!
-//! Local ids within a partition are assigned in ascending *global* id
-//! order. That single choice is what makes the runtime merge cheap: a
-//! partition's fired list sorted by local id is already sorted by global
-//! id, and a peer's outbound batch (fired list × cut rows) arrives sorted
-//! by global source id.
+//! Ascending original id within each partition is what makes the runtime
+//! merge cheap: a partition's fired list sorted by new id is already
+//! sorted by original id, and a peer's outbound batch (fired list × cut
+//! synapses) arrives sorted by original source id.
 
-use crate::engine::par_map;
+use std::ops::Range;
+use std::sync::Mutex;
+
+use crate::engine::{par_map, split_at_bounds};
 use crate::error::SnnError;
 use crate::network::{CsrTopology, Network, Synapse};
-use crate::types::{NeuronId, Time};
+use crate::types::NeuronId;
 
 use super::cut::Partitioner;
 
 /// Compile-size floor (neurons + synapses) below which
-/// [`PartitionPlan::compile_with_threads`] builds partitions
-/// sequentially: under this much work the per-thread spawn cost
-/// outweighs the fan-out.
+/// [`PartitionPlan::compile_with_threads`] fills the synapse rows
+/// sequentially: under this much work the per-thread spawn cost outweighs
+/// the fan-out.
 pub const PARALLEL_COMPILE_MIN_WORK: usize = 32_768;
 
-/// One partition's compile output: the frozen sub-network, the
-/// CSR-style per-source offsets into the cut table, the cut table, and
-/// the partition's row of `pair_cut` (cut count per destination).
-type BuiltPartition = (Network, Vec<usize>, Vec<CutSynapse>, Vec<u64>);
-
-/// One boundary synapse, rewritten for mailbox transport: the owner of
-/// the source pushes `(due, target_local, weight)` to partition `part`
-/// whenever the source fires.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CutSynapse {
-    /// Destination partition.
-    pub part: u32,
-    /// Target neuron as a local id in the destination partition.
-    pub target_local: u32,
-    /// Synaptic weight.
-    pub weight: f64,
-    /// Synaptic delay in ticks (>= 1, inherited from the source network).
-    pub delay: u32,
-}
-
-/// A network compiled for partitioned execution: one frozen sub-network
-/// per partition, per-source cut tables, and the id maps linking local to
-/// global neuron ids.
+/// A network compiled for partitioned execution: the source network
+/// renumbered so partition `q` owns the id range [`Self::range`]`(q)`,
+/// plus the maps between new and original ids.
 #[derive(Debug)]
 pub struct PartitionPlan {
-    parts: usize,
-    n_total: usize,
-    max_delay: u32,
+    /// The renumbered network (no terminal, inputs or outputs), boxed so
+    /// a plan moves cheaply.
+    net: Box<Network>,
+    /// Partition id ranges: `parts + 1` entries, `bounds[0] == 0`.
+    bounds: Vec<usize>,
+    /// New id -> original id, ascending within each partition.
+    source_of: Vec<NeuronId>,
+    /// Original id -> new id.
+    new_of: Vec<NeuronId>,
+    /// Terminal neuron of the source network (original id).
     terminal: Option<NeuronId>,
-    /// Global neuron id -> owning partition.
-    assignment: Vec<u32>,
-    /// Global neuron id -> local id within its partition.
-    local_of: Vec<u32>,
-    /// Per partition: local id -> global id, ascending.
-    globals: Vec<Vec<NeuronId>>,
-    /// Per partition: the frozen intra-partition sub-network.
-    subnets: Vec<Network>,
-    /// Per partition: CSR-style offsets into `cut_syn` per local source
-    /// (length `local_count + 1`).
-    cut_offsets: Vec<Vec<usize>>,
-    /// Per partition: cut synapses grouped by local source, CSR order.
-    cut_syn: Vec<Vec<CutSynapse>>,
     /// Cut-edge count per ordered partition pair, `pair_cut[from*parts+to]`.
     pair_cut: Vec<u64>,
     cut_edge_count: u64,
@@ -105,19 +79,16 @@ impl PartitionPlan {
         Self::compile_with_threads(net, parts, partitioner, threads)
     }
 
-    /// [`Self::compile`] with an explicit thread count for the
-    /// per-partition sub-network builds. The builds are independent
-    /// (each reads the shared CSR and writes only its own partition's
-    /// tables), so they fan out through [`crate::engine::par_map`]; the
-    /// resulting plan is identical to a sequential compile. Small
-    /// compiles (below [`PARALLEL_COMPILE_MIN_WORK`] neurons + synapses)
-    /// stay sequential — thread spawns would cost more than the build.
+    /// [`Self::compile`] with an explicit thread count for filling the
+    /// synapse rows. Each partition's rows occupy one contiguous chunk of
+    /// the renumbered CSR, so the fills are independent and fan out
+    /// through [`crate::engine::par_map`]; the resulting plan is identical
+    /// to a sequential compile. Small compiles (below
+    /// [`PARALLEL_COMPILE_MIN_WORK`] neurons + synapses) stay sequential —
+    /// thread spawns would cost more than the fill.
     ///
-    /// Each build walks its partition's source rows once, in ascending
-    /// local order, and writes the sub-network's CSR arrays and the cut
-    /// table directly at their exact sizes (counted in a first pass over
-    /// the same rows). The network is validated once up front, so no
-    /// synapse is checked twice.
+    /// The network is validated once up front, so no synapse is checked
+    /// twice, and every array is allocated once at its exact size.
     ///
     /// # Errors
     /// Fails when the network is invalid for event-style execution.
@@ -133,6 +104,13 @@ impl PartitionPlan {
         net.validate(true)?;
         let parts = parts.max(1);
         let n = net.neuron_count();
+        let csr = net.csr();
+        let threads = if n + csr.all().len() >= PARALLEL_COMPILE_MIN_WORK {
+            threads
+        } else {
+            1
+        };
+
         let assignment = partitioner.assign(net, parts);
         assert_eq!(
             assignment.len(),
@@ -143,122 +121,80 @@ impl PartitionPlan {
             assignment.iter().all(|&p| (p as usize) < parts),
             "partitioner produced a partition id >= parts"
         );
-        let csr = net.csr();
-        let params = net.params_slice();
 
-        // Local ids in ascending global order (see module docs).
-        let mut sizes = vec![0usize; parts];
+        // Stable counting sort by partition: new ids ascend with original
+        // ids inside each partition (see module docs).
+        let mut bounds = vec![0usize; parts + 1];
         for &p in &assignment {
-            sizes[p as usize] += 1;
+            bounds[p as usize + 1] += 1;
         }
-        let mut globals: Vec<Vec<NeuronId>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        let mut local_of = vec![0u32; n];
-        for g in 0..n {
-            let p = assignment[g] as usize;
-            local_of[g] = u32::try_from(globals[p].len()).expect("partition too large");
-            globals[p].push(NeuronId(g as u32));
+        for q in 0..parts {
+            bounds[q + 1] += bounds[q];
+        }
+        let mut cursor = bounds[..parts].to_vec();
+        let mut source_of = vec![NeuronId(0); n];
+        let mut new_of = vec![NeuronId(0); n];
+        for (g, &p) in assignment.iter().enumerate() {
+            let i = cursor[p as usize];
+            cursor[p as usize] += 1;
+            source_of[i] = NeuronId(g as u32);
+            new_of[g] = NeuronId(i as u32);
         }
 
-        // Per-partition builds: independent by construction (partition
-        // `p` reads the shared CSR and writes only its own tables), so
-        // they fan out through `par_map` when the compile is big enough
-        // to pay for the spawns. Results come back in partition order, so
-        // the plan is identical to a sequential compile.
-        let build_one = |p: usize| -> BuiltPartition {
-            let rows = &globals[p];
-            // Count first, so every array is allocated at its exact size
-            // and `memory_bytes` stays exact.
-            let (mut intra, mut cut) = (0usize, 0usize);
+        let params = source_of
+            .iter()
+            .map(|g| net.params_slice()[g.index()])
+            .collect();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for g in &source_of {
+            offsets.push(offsets[offsets.len() - 1] + csr.out(g.index()).len());
+        }
+
+        // Fill: partition `q`'s rows are one contiguous chunk of the
+        // synapse array, each row in its CSR order with targets
+        // renumbered, so the fills are disjoint `&mut` chunks (locked only
+        // because `par_map` hands its jobs an index; each chunk has one
+        // job) and the jobs also count their row of `pair_cut`. The array
+        // starts as a copy of the source synapses, every slot overwritten.
+        let mut synapses = csr.all().to_vec();
+        let row_bounds: Vec<usize> = bounds.iter().map(|&b| offsets[b]).collect();
+        let chunks: Vec<Mutex<&mut [Synapse]>> = split_at_bounds(&mut synapses, &row_bounds)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let fill = |q: usize| -> Vec<u64> {
+            let mut chunk = chunks[q].lock().expect("fill chunk poisoned");
+            let rows = source_of[bounds[q]..bounds[q + 1]]
+                .iter()
+                .flat_map(|g| csr.out(g.index()));
             let mut pair_cut = vec![0u64; parts];
-            for &g in rows {
-                for s in csr.out(g.index()) {
-                    let pt = assignment[s.target.index()] as usize;
-                    if pt == p {
-                        intra += 1;
-                    } else {
-                        cut += 1;
-                        pair_cut[pt] += 1;
-                    }
-                }
+            for (slot, s) in chunk.iter_mut().zip(rows) {
+                pair_cut[assignment[s.target.index()] as usize] += 1;
+                *slot = Synapse {
+                    target: new_of[s.target.index()],
+                    ..*s
+                };
             }
+            pair_cut[q] = 0; // in-range synapses are not cut
+            pair_cut
+        };
+        let pair_cut = par_map(parts, threads, || (), |(), q| fill(q)).concat();
+        let cut_edge_count = pair_cut.iter().sum();
 
-            // Then fill: one walk over the rows in ascending local order.
-            // Each row's intra synapses keep their CSR order, so the
-            // sub-network's CSR is exactly what a builder would produce,
-            // with no staging and no sort. `net.validate` above already
-            // checked every synapse.
-            let mut sub_params = Vec::with_capacity(rows.len());
-            let mut offsets = Vec::with_capacity(rows.len() + 1);
-            let mut synapses = Vec::with_capacity(intra);
-            let mut cut_offsets = Vec::with_capacity(rows.len() + 1);
-            let mut cuts = Vec::with_capacity(cut);
-            let mut max_delay = 0u32;
-            offsets.push(0);
-            cut_offsets.push(0);
-            for &g in rows {
-                sub_params.push(params[g.index()]);
-                for s in csr.out(g.index()) {
-                    let t = s.target.index();
-                    let pt = assignment[t];
-                    if pt as usize == p {
-                        synapses.push(Synapse {
-                            target: NeuronId(local_of[t]),
-                            ..*s
-                        });
-                        max_delay = max_delay.max(s.delay);
-                    } else {
-                        cuts.push(CutSynapse {
-                            part: pt,
-                            target_local: local_of[t],
-                            weight: s.weight,
-                            delay: s.delay,
-                        });
-                    }
-                }
-                offsets.push(synapses.len());
-                cut_offsets.push(cuts.len());
-            }
-            let sub = Network::from_frozen(
-                sub_params,
+        Ok(Self {
+            net: Box::new(Network::from_frozen(
+                params,
                 CsrTopology::from_parts(offsets, synapses),
                 Vec::new(),
                 Vec::new(),
                 None,
-                max_delay,
-            );
-            (sub, cut_offsets, cuts, pair_cut)
-        };
-
-        let threads = if n + net.synapse_count() >= PARALLEL_COMPILE_MIN_WORK {
-            threads
-        } else {
-            1
-        };
-        let built = par_map(parts, threads, || (), |(), p| build_one(p));
-
-        let mut subnets = Vec::with_capacity(parts);
-        let mut cut_offsets = Vec::with_capacity(parts);
-        let mut cut_syn = Vec::with_capacity(parts);
-        let mut pair_cut = Vec::with_capacity(parts * parts);
-        for (sub, offs, cuts, pairs) in built {
-            subnets.push(sub);
-            cut_offsets.push(offs);
-            cut_syn.push(cuts);
-            pair_cut.extend_from_slice(&pairs);
-        }
-        let cut_edge_count = pair_cut.iter().sum();
-
-        Ok(Self {
-            parts,
-            n_total: n,
-            max_delay: net.max_delay(),
+                net.max_delay(),
+            )),
+            bounds,
+            source_of,
+            new_of,
             terminal: net.terminal(),
-            assignment,
-            local_of,
-            globals,
-            subnets,
-            cut_offsets,
-            cut_syn,
             pair_cut,
             cut_edge_count,
         })
@@ -267,13 +203,13 @@ impl PartitionPlan {
     /// Number of partitions (including any that received no neurons).
     #[must_use]
     pub fn parts(&self) -> usize {
-        self.parts
+        self.bounds.len() - 1
     }
 
     /// Neuron count of the source network.
     #[must_use]
     pub fn neuron_count(&self) -> usize {
-        self.n_total
+        self.source_of.len()
     }
 
     /// Maximum synaptic delay of the *source* network. Every partition's
@@ -282,43 +218,52 @@ impl PartitionPlan {
     /// the monolithic wheel exactly.
     #[must_use]
     pub fn max_delay(&self) -> u32 {
-        self.max_delay
+        self.net.max_delay()
     }
 
-    /// Terminal neuron of the source network (global id), if designated.
+    /// Terminal neuron of the source network (original id), if designated.
     #[must_use]
     pub fn terminal(&self) -> Option<NeuronId> {
         self.terminal
     }
 
-    /// Global neuron id -> owning partition.
+    /// The renumbered network: partition `q`'s neurons are the ids
+    /// [`Self::range`]`(q)`, every synapse target is a new id.
     #[must_use]
-    pub fn assignment(&self) -> &[u32] {
-        &self.assignment
+    pub fn network(&self) -> &Network {
+        &self.net
     }
 
-    /// Global neuron id -> local id within its owning partition.
+    /// Partition id ranges over the renumbered network: partition `q`
+    /// owns `bounds()[q]..bounds()[q + 1]`.
     #[must_use]
-    pub fn local_of(&self) -> &[u32] {
-        &self.local_of
+    pub fn bounds(&self) -> &[usize] {
+        &self.bounds
     }
 
-    /// Local id -> global id for partition `p`, in ascending global order.
+    /// The new-id range partition `q` owns.
     #[must_use]
-    pub fn globals(&self, p: usize) -> &[NeuronId] {
-        &self.globals[p]
+    pub fn range(&self, q: usize) -> Range<usize> {
+        self.bounds[q]..self.bounds[q + 1]
     }
 
-    /// The frozen sub-network of partition `p`.
+    /// The partition owning new id `id`.
     #[must_use]
-    pub fn subnet(&self, p: usize) -> &Network {
-        &self.subnets[p]
+    pub fn part_of(&self, id: usize) -> usize {
+        // The last range starting at or before `id`, skipping empty ones.
+        self.bounds.partition_point(|&b| b <= id) - 1
     }
 
-    /// Cut synapses of local source `l` in partition `p`, CSR order.
+    /// New id -> original id, ascending within each partition.
     #[must_use]
-    pub fn cut_out(&self, p: usize, l: usize) -> &[CutSynapse] {
-        &self.cut_syn[p][self.cut_offsets[p][l]..self.cut_offsets[p][l + 1]]
+    pub fn source_of(&self) -> &[NeuronId] {
+        &self.source_of
+    }
+
+    /// The new id of original neuron `id`.
+    #[must_use]
+    pub fn new_id(&self, id: NeuronId) -> NeuronId {
+        self.new_of[id.index()]
     }
 
     /// Total boundary synapses (the static edge cut).
@@ -330,41 +275,23 @@ impl PartitionPlan {
     /// Boundary synapses from partition `from` into partition `to`.
     #[must_use]
     pub fn pair_cut(&self, from: usize, to: usize) -> u64 {
-        self.pair_cut[from * self.parts + to]
+        self.pair_cut[from * self.parts() + to]
     }
 
-    /// Absolute arrival tick of a cut synapse for a source firing at `t`.
-    #[inline]
-    pub(crate) fn due(t: Time, s: &CutSynapse) -> Time {
-        t + Time::from(s.delay)
-    }
-
-    /// Total heap footprint of the compiled plan: every sub-network's own
-    /// [`Network::memory_bytes`] accounting, the cut tables and the id
-    /// maps. Per-run scratch — partition states and cut-spike mailboxes —
-    /// is not the plan's and is not counted. Partitioning does not escape
+    /// Total heap footprint of the compiled plan: the renumbered
+    /// network's own [`Network::memory_bytes`] accounting plus the
+    /// bounds, the two id maps and `pair_cut`. Per-run scratch —
+    /// partition wheels, lazy-decay state and cut-spike mailboxes — is
+    /// not the plan's and is not counted. Partitioning does not escape
     /// the cost of the network itself; it bounds the cost per address
     /// space plus a cut-proportional overhead.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = 0usize;
-        for sub in &self.subnets {
-            total += sub.memory_bytes();
-        }
-        for offs in &self.cut_offsets {
-            total += offs.capacity() * size_of::<usize>();
-        }
-        for cuts in &self.cut_syn {
-            total += cuts.capacity() * size_of::<CutSynapse>();
-        }
-        for g in &self.globals {
-            total += g.capacity() * size_of::<NeuronId>();
-        }
-        total += self.assignment.capacity() * size_of::<u32>();
-        total += self.local_of.capacity() * size_of::<u32>();
-        total += self.pair_cut.capacity() * size_of::<u64>();
-        total
+        self.net.memory_bytes()
+            + self.bounds.capacity() * size_of::<usize>()
+            + (self.source_of.capacity() + self.new_of.capacity()) * size_of::<NeuronId>()
+            + self.pair_cut.capacity() * size_of::<u64>()
     }
 }
 
@@ -383,40 +310,77 @@ mod tests {
         net
     }
 
+    /// Synapses whose target lies outside their source's range.
+    fn out_of_range(plan: &PartitionPlan) -> u64 {
+        (0..plan.parts())
+            .flat_map(|q| plan.range(q).map(move |i| (q, i)))
+            .flat_map(|(q, i)| plan.network().csr().out(i).iter().map(move |s| (q, s)))
+            .filter(|(q, s)| !plan.range(*q).contains(&s.target.index()))
+            .count() as u64
+    }
+
     #[test]
     fn compile_conserves_neurons_and_synapses() {
         let net = ring(10, 3);
         let plan = PartitionPlan::compile(&net, 4, &RangePartitioner).unwrap();
-        let sub_neurons: usize = (0..4).map(|p| plan.subnet(p).neuron_count()).sum();
-        let sub_syn: u64 = (0..4).map(|p| plan.subnet(p).synapse_count() as u64).sum();
-        assert_eq!(sub_neurons, 10);
-        assert_eq!(sub_syn + plan.cut_edge_count(), 10);
+        assert_eq!(plan.network().neuron_count(), 10);
+        assert_eq!(plan.network().synapse_count(), 10);
         // Range split of a 10-ring into [3,3,3,1]: one cut per block edge
         // plus the wrap edge.
+        assert_eq!(plan.bounds(), &[0, 3, 6, 9, 10]);
         assert_eq!(plan.cut_edge_count(), 4);
+        assert_eq!(out_of_range(&plan), 4);
         assert_eq!(plan.max_delay(), 3);
     }
 
     #[test]
-    fn local_ids_ascend_with_global_ids() {
+    fn new_ids_ascend_with_original_ids_within_each_range() {
         let net = ring(9, 1);
-        let plan = PartitionPlan::compile(&net, 3, &RangePartitioner).unwrap();
-        for p in 0..3 {
-            let g = plan.globals(p);
-            assert!(g.windows(2).all(|w| w[0] < w[1]));
-            for (l, &gid) in g.iter().enumerate() {
-                assert_eq!(plan.local_of()[gid.index()] as usize, l);
-                assert_eq!(plan.assignment()[gid.index()] as usize, p);
+        let assignment = [2u32, 0, 1, 2, 0, 1, 2, 0, 1];
+        struct Fixed([u32; 9]);
+        impl Partitioner for Fixed {
+            fn assign(&self, _net: &Network, _parts: usize) -> Vec<u32> {
+                self.0.to_vec()
             }
+        }
+        let plan = PartitionPlan::compile(&net, 3, &Fixed(assignment)).unwrap();
+        assert_eq!(plan.bounds(), &[0, 3, 6, 9]);
+        for q in 0..3 {
+            let originals = &plan.source_of()[plan.range(q)];
+            assert!(originals.windows(2).all(|w| w[0] < w[1]));
+            for (i, &g) in plan.range(q).zip(originals) {
+                assert_eq!(plan.new_id(g).index(), i);
+                assert_eq!(plan.part_of(i), q);
+                assert_eq!(assignment[g.index()] as usize, q);
+            }
+        }
+        // Row i is original row source_of[i], targets renumbered.
+        for (i, &g) in plan.source_of().iter().enumerate() {
+            let next = NeuronId(((g.index() + 1) % 9) as u32);
+            assert_eq!(plan.network().csr().out(i)[0].target, plan.new_id(next));
         }
     }
 
     #[test]
-    fn subnets_are_born_frozen() {
+    fn part_of_skips_empty_ranges() {
+        struct Fixed;
+        impl Partitioner for Fixed {
+            fn assign(&self, _net: &Network, _parts: usize) -> Vec<u32> {
+                vec![1, 3, 1, 3, 1, 3]
+            }
+        }
+        let plan = PartitionPlan::compile(&ring(6, 1), 5, &Fixed).unwrap();
+        assert_eq!(plan.bounds(), &[0, 0, 3, 3, 6, 6]);
+        let owners: Vec<usize> = (0..6).map(|i| plan.part_of(i)).collect();
+        assert_eq!(owners, [1, 1, 1, 3, 3, 3]);
+    }
+
+    #[test]
+    fn renumbered_network_is_born_frozen() {
         let net = ring(6, 2);
         let plan = PartitionPlan::compile(&net, 2, &RangePartitioner).unwrap();
-        assert!(plan.subnet(0).is_frozen());
-        assert!(plan.subnet(1).is_frozen());
+        assert!(plan.network().is_frozen());
+        assert_eq!(plan.network().terminal(), None);
     }
 
     #[test]
@@ -424,17 +388,21 @@ mod tests {
         let net = ring(8, 2);
         let plan = PartitionPlan::compile(&net, 1, &RangePartitioner).unwrap();
         assert_eq!(plan.cut_edge_count(), 0);
-        assert_eq!(plan.subnet(0).synapse_count(), 8);
+        assert_eq!(plan.network().synapse_count(), 8);
+        assert_eq!(
+            plan.network().csr(),
+            net.csr(),
+            "one range renumbers nothing"
+        );
     }
 
     #[test]
-    fn memory_accounting_covers_subnets_and_cut_tables() {
+    fn memory_accounting_covers_network_and_id_maps() {
         let net = ring(32, 2);
         let plan = PartitionPlan::compile(&net, 4, &RangePartitioner).unwrap();
-        let sub_total: usize = (0..4).map(|p| plan.subnet(p).memory_bytes()).sum();
-        let cut_total = plan.cut_edge_count() as usize * std::mem::size_of::<CutSynapse>();
+        let id_maps = 2 * 32 * std::mem::size_of::<NeuronId>();
         assert!(plan.cut_edge_count() > 0);
-        assert!(plan.memory_bytes() >= sub_total + cut_total);
+        assert!(plan.memory_bytes() >= plan.network().memory_bytes() + id_maps);
     }
 
     #[test]
@@ -455,13 +423,14 @@ mod tests {
         let seq = PartitionPlan::compile_with_threads(&net, 4, &RangePartitioner, 1).unwrap();
         let par = PartitionPlan::compile_with_threads(&net, 4, &RangePartitioner, 4).unwrap();
         assert_eq!(seq.cut_edge_count(), par.cut_edge_count());
-        assert_eq!(seq.assignment(), par.assignment());
-        assert_eq!(seq.local_of(), par.local_of());
+        assert_eq!(seq.bounds(), par.bounds());
+        assert_eq!(seq.source_of(), par.source_of());
+        assert_eq!(seq.network().csr(), par.network().csr());
+        assert_eq!(seq.network().params_slice(), par.network().params_slice());
         for p in 0..4 {
-            assert_eq!(seq.globals(p), par.globals(p));
-            assert_eq!(seq.subnet(p).neuron_count(), par.subnet(p).neuron_count());
-            assert_eq!(seq.subnet(p).synapse_count(), par.subnet(p).synapse_count());
-            assert_eq!(seq.cut_out(p, 0), par.cut_out(p, 0));
+            for q in 0..4 {
+                assert_eq!(seq.pair_cut(p, q), par.pair_cut(p, q));
+            }
         }
         assert_eq!(seq.memory_bytes(), par.memory_bytes());
     }

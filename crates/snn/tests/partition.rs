@@ -9,17 +9,18 @@
 //! plus conservation properties: cut traffic must equal the
 //! boundary-synapse share of `SimStats::synaptic_deliveries`, and the
 //! plan's memory accounting must cover the sum of its parts. A
-//! differential proptest pins the plan compile's directly emitted
-//! sub-networks to what `NetworkBuilder` builds from the same rows.
+//! differential proptest pins the plan compile's renumbered network to
+//! what `NetworkBuilder` builds from the same rows in partition order.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sgl_snn::engine::{Engine, EventEngine, RunConfig, RunObserver, TimeSeriesObserver};
-use sgl_snn::partition::plan::PARALLEL_COMPILE_MIN_WORK;
-use sgl_snn::partition::{
-    CutStrategy, CutSynapse, PartitionPlan, PartitionedEngine, RangePartitioner,
+use sgl_snn::engine::{
+    Engine, EngineChoice, EventEngine, NullObserver, RunConfig, RunObserver, RunScratch,
+    TimeSeriesObserver,
 };
+use sgl_snn::partition::plan::PARALLEL_COMPILE_MIN_WORK;
+use sgl_snn::partition::{CutStrategy, PartitionPlan, PartitionedEngine, RangePartitioner};
 use sgl_snn::{LifParams, Network, NetworkBuilder, NeuronId};
 
 /// Observer that tallies `on_cut_traffic` per superstep — the per-tick
@@ -188,12 +189,31 @@ fn empty_partitions_and_zero_cut_partitions_run_clean() {
     assert_eq!(stats.parts, 12);
 }
 
-/// Satellite regression: the plan's memory accounting must cover the sum
-/// of the sub-network accountings, and compare
-/// sanely against the monolithic build (sub-networks repartition the
-/// neurons and intra synapses; only cut bookkeeping is extra).
+/// Synapses of the renumbered network whose target lies outside their
+/// source's range, counted per ordered partition pair
+/// (`[from * parts + to]`).
+fn out_of_range_counts(plan: &PartitionPlan) -> Vec<u64> {
+    let parts = plan.parts();
+    let mut counts = vec![0u64; parts * parts];
+    for from in 0..parts {
+        for i in plan.range(from) {
+            for s in plan.network().csr().out(i) {
+                let to = plan.part_of(s.target.index());
+                if to != from {
+                    counts[from * parts + to] += 1;
+                }
+            }
+        }
+    }
+    counts
+}
+
+/// The plan's memory accounting must cover the renumbered network's own
+/// accounting, and compare sanely against the monolithic build (the
+/// renumbered network holds the same neurons and synapses; only the id
+/// maps and cut counts are extra).
 #[test]
-fn plan_memory_accounting_covers_subnets_and_channels() {
+fn plan_memory_accounting_covers_network_and_id_maps() {
     let mut net = Network::new();
     let ids = net.add_neurons(LifParams::gate_at_least(1), 64);
     for i in 0..64usize {
@@ -204,24 +224,91 @@ fn plan_memory_accounting_covers_subnets_and_channels() {
     net.freeze();
     for parts in [1, 2, 4, 8] {
         let plan = PartitionPlan::compile(&net, parts, &RangePartitioner).unwrap();
-        let sub_sum: usize = (0..parts).map(|p| plan.subnet(p).memory_bytes()).sum();
+        let net_bytes = plan.network().memory_bytes();
         let total = plan.memory_bytes();
         assert!(
-            total >= sub_sum,
-            "parts = {parts}: {total} must cover subnets ({sub_sum})"
+            total >= net_bytes + 2 * net.neuron_count() * std::mem::size_of::<NeuronId>(),
+            "parts = {parts}: {total} must cover the network ({net_bytes}) and id maps"
         );
         // Neuron and synapse conservation against the monolithic build.
-        let sub_neurons: usize = (0..parts).map(|p| plan.subnet(p).neuron_count()).sum();
-        let sub_syn: u64 = (0..parts)
-            .map(|p| plan.subnet(p).synapse_count() as u64)
-            .sum();
-        assert_eq!(sub_neurons, net.neuron_count());
-        assert_eq!(sub_syn + plan.cut_edge_count(), net.synapse_count() as u64);
+        assert_eq!(plan.network().neuron_count(), net.neuron_count());
+        assert_eq!(plan.network().synapse_count(), net.synapse_count());
+        let cut: u64 = out_of_range_counts(&plan).iter().sum();
+        assert_eq!(cut, plan.cut_edge_count());
         // Partitioning a net never accounts to less than the per-neuron /
         // per-synapse state it still holds: compare against a monolithic
         // lower bound built from the same counts.
         assert!(total >= net.neuron_count() * std::mem::size_of::<LifParams>());
     }
+}
+
+/// A partitioned run takes its neuron state from the caller's scratch, so
+/// a scratch recycled across engines and networks must still give every
+/// run exactly what a fresh scratch gives. The small net rests at
+/// `v_reset = -1`: a partitioned run that kept the event run's leftover
+/// voltages (or its `last_update` times) would fire `b` or decay from the
+/// wrong time.
+#[test]
+fn partitioned_runs_on_a_recycled_scratch_match_fresh_scratch() {
+    let mut large = Network::new();
+    let ids = large.add_neurons(LifParams::gate_at_least(1), 64);
+    for w in ids.windows(2) {
+        large.connect(w[0], w[1], 1.0, 2).unwrap();
+    }
+    large.connect(ids[0], ids[40], 0.5, 7).unwrap();
+
+    // a -> b leaves b at 0.2, below threshold; a -> c fires c, whose
+    // 1.2 into d again stays below threshold. The default cut splits the
+    // six neurons into three busy partitions, so two threads really run
+    // the pool.
+    let params = LifParams {
+        v_reset: -1.0,
+        v_threshold: 0.5,
+        decay: 0.5,
+    };
+    let mut small = Network::new();
+    let s = small.add_neurons(params, 6);
+    small.connect(s[0], s[1], 1.2, 1).unwrap();
+    small.connect(s[0], s[2], 2.0, 1).unwrap();
+    small.connect(s[2], s[3], 1.2, 2).unwrap();
+    small.connect(s[3], s[4], 1.6, 1).unwrap();
+    small.connect(s[2], s[5], 2.5, 3).unwrap();
+
+    let cfg = RunConfig::until_quiescent(200).with_raster();
+    let runs = [
+        (EngineChoice::Event.prepare(&large).unwrap(), ids[0]),
+        (
+            EngineChoice::Partitioned {
+                parts: 3,
+                threads: 1,
+            }
+            .prepare(&small)
+            .unwrap(),
+            s[0],
+        ),
+        (
+            EngineChoice::Partitioned {
+                parts: 3,
+                threads: 2,
+            }
+            .prepare(&small)
+            .unwrap(),
+            s[0],
+        ),
+        (EngineChoice::Event.prepare(&large).unwrap(), ids[0]),
+    ];
+    let mut recycled = RunScratch::new();
+    for (i, (prepared, source)) in runs.iter().enumerate() {
+        let fresh = prepared
+            .run(&[*source], &cfg, &mut RunScratch::new(), &mut NullObserver)
+            .unwrap();
+        let reused = prepared
+            .run(&[*source], &cfg, &mut recycled, &mut NullObserver)
+            .unwrap();
+        assert_eq!(fresh, reused, "run {i}");
+    }
+    let small_mono = EventEngine.run(&small, &[s[0]], &cfg).unwrap();
+    assert!(small_mono.fired(s[2]) && !small_mono.fired(s[1]));
 }
 
 proptest! {
@@ -254,7 +341,7 @@ proptest! {
         // Expected totals from the spike counts: each spike of neuron v
         // delivers out_degree(v) times, cut_degree(v) of them over
         // channels.
-        let assignment = plan.assignment();
+        let part = |v: usize| plan.part_of(plan.new_id(NeuronId(v as u32)).index());
         let mut expected_cut = 0u64;
         let mut expected_total = 0u64;
         for (v, &count) in result.spike_counts.iter().enumerate() {
@@ -262,7 +349,7 @@ proptest! {
                 .csr()
                 .out(v)
                 .iter()
-                .filter(|s| assignment[s.target.index()] != assignment[v])
+                .filter(|s| part(s.target.index()) != part(v))
                 .count() as u64;
             let out_deg = net.csr().out(v).len() as u64;
             expected_cut += u64::from(count) * cut_deg;
@@ -389,64 +476,49 @@ fn random_net(seed: u64, big: bool) -> Network {
     b.build().unwrap()
 }
 
-/// The oracle for partition `p`: the sub-network `NetworkBuilder` builds
-/// from `p`'s rows re-addressed to local ids, plus its cut rows and its
-/// cut counts per destination partition.
-fn oracle(
-    net: &Network,
-    assignment: &[u32],
-    parts: usize,
-    p: usize,
-) -> (Network, Vec<Vec<CutSynapse>>, Vec<u64>) {
-    let mut local_of = vec![0u32; net.neuron_count()];
-    let mut counts = vec![0u32; parts];
-    for (g, &q) in assignment.iter().enumerate() {
-        local_of[g] = counts[q as usize];
-        counts[q as usize] += 1;
-    }
-    let rows: Vec<usize> = (0..net.neuron_count())
-        .filter(|&g| assignment[g] as usize == p)
+/// The oracle: the network `NetworkBuilder` builds from the source rows in
+/// (partition, ascending original id) order with targets renumbered the
+/// same way, that order (new id -> original id), and the cut count per
+/// ordered partition pair (`[from * parts + to]`).
+fn oracle(net: &Network, assignment: &[u32], parts: usize) -> (Network, Vec<NeuronId>, Vec<u64>) {
+    let n = net.neuron_count();
+    let order: Vec<NeuronId> = (0..parts)
+        .flat_map(|p| (0..n).filter(move |&g| assignment[g] as usize == p))
+        .map(|g| NeuronId(g as u32))
         .collect();
-    let intra = rows
-        .iter()
-        .flat_map(|&g| net.csr().out(g))
-        .filter(|s| assignment[s.target.index()] as usize == p)
-        .count();
-    let mut b = NetworkBuilder::with_capacity(rows.len(), intra);
-    let mut cut_rows = Vec::with_capacity(rows.len());
-    let mut pair_cut = vec![0u64; parts];
-    for &g in &rows {
-        let local = b.add_neuron(net.params_slice()[g]);
-        let mut cuts = Vec::new();
-        for s in net.csr().out(g) {
-            let t = s.target.index();
-            let q = assignment[t];
-            if q as usize == p {
-                b.connect(local, NeuronId(local_of[t]), s.weight, s.delay);
-            } else {
-                pair_cut[q as usize] += 1;
-                cuts.push(CutSynapse {
-                    part: q,
-                    target_local: local_of[t],
-                    weight: s.weight,
-                    delay: s.delay,
-                });
-            }
-        }
-        cut_rows.push(cuts);
+    let mut new_of = vec![0u32; n];
+    for (i, g) in order.iter().enumerate() {
+        new_of[g.index()] = i as u32;
     }
-    (b.build().unwrap(), cut_rows, pair_cut)
+    let mut b = NetworkBuilder::with_capacity(n, net.synapse_count());
+    for g in &order {
+        b.add_neuron(net.params_slice()[g.index()]);
+    }
+    let mut pair_cut = vec![0u64; parts * parts];
+    for (i, g) in order.iter().enumerate() {
+        let from = assignment[g.index()] as usize;
+        for s in net.csr().out(g.index()) {
+            let t = s.target.index();
+            let to = assignment[t] as usize;
+            if to != from {
+                pair_cut[from * parts + to] += 1;
+            }
+            b.connect(NeuronId(i as u32), NeuronId(new_of[t]), s.weight, s.delay);
+        }
+    }
+    (b.build().unwrap(), order, pair_cut)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Plan-compile differential: every sub-network the compile emits
-    /// directly must equal — parameters, CSR layout, max delay, memory
-    /// footprint, frozen state — the network `NetworkBuilder` builds from
-    /// the same re-addressed rows, and its cut tables must hold exactly
-    /// the remaining synapses in CSR order. A 4-thread compile must
-    /// reproduce the 1-thread plan, cut tables and accounting included.
+    /// Plan-compile differential: the renumbered network the compile
+    /// emits directly must equal — parameters, CSR layout, max delay,
+    /// memory footprint, frozen state — the network `NetworkBuilder`
+    /// builds from the same rows in (partition, ascending original id)
+    /// order, and its out-of-range synapses must be exactly the oracle's
+    /// cut, pair by pair. A 4-thread compile must reproduce the 1-thread
+    /// plan, id maps and accounting included.
     #[test]
     fn plan_compile_matches_builder_oracle(seed in 0u64..1_000_000, size in 0u8..4) {
         let net = random_net(seed, size == 0);
@@ -466,25 +538,29 @@ proptest! {
                     })
                     .collect();
                 let (seq, par) = (&plans[0], &plans[1]);
-                prop_assert_eq!(seq.assignment(), &assignment[..]);
                 prop_assert_eq!(seq.memory_bytes(), par.memory_bytes());
                 prop_assert_eq!(seq.cut_edge_count(), par.cut_edge_count());
-                for p in 0..parts {
-                    let (expected, cut_rows, pair_cut) = oracle(&net, &assignment, parts, p);
-                    for plan in &plans {
-                        let sub = plan.subnet(p);
-                        prop_assert_eq!(sub.params_slice(), expected.params_slice());
-                        prop_assert_eq!(sub.csr(), expected.csr());
-                        prop_assert_eq!(sub.max_delay(), expected.max_delay());
-                        prop_assert_eq!(sub.memory_bytes(), expected.memory_bytes());
-                        prop_assert_eq!(sub.is_frozen(), expected.is_frozen());
-                        prop_assert_eq!(sub.terminal(), None);
-                        prop_assert!(sub.inputs().is_empty() && sub.outputs().is_empty());
-                        for (l, cuts) in cut_rows.iter().enumerate() {
-                            prop_assert_eq!(plan.cut_out(p, l), &cuts[..]);
-                        }
-                        for (q, &count) in pair_cut.iter().enumerate() {
-                            prop_assert_eq!(plan.pair_cut(p, q), count);
+                prop_assert_eq!(seq.bounds(), par.bounds());
+                prop_assert_eq!(seq.source_of(), par.source_of());
+                let (expected, order, pair_cut) = oracle(&net, &assignment, parts);
+                for plan in &plans {
+                    prop_assert_eq!(plan.source_of(), &order[..]);
+                    for (g, &p) in assignment.iter().enumerate() {
+                        let i = plan.new_id(NeuronId(g as u32)).index();
+                        prop_assert_eq!(plan.part_of(i), p as usize);
+                    }
+                    let renumbered = plan.network();
+                    prop_assert_eq!(renumbered.params_slice(), expected.params_slice());
+                    prop_assert_eq!(renumbered.csr(), expected.csr());
+                    prop_assert_eq!(renumbered.max_delay(), expected.max_delay());
+                    prop_assert_eq!(renumbered.memory_bytes(), expected.memory_bytes());
+                    prop_assert_eq!(renumbered.is_frozen(), expected.is_frozen());
+                    prop_assert_eq!(renumbered.terminal(), None);
+                    prop_assert!(renumbered.inputs().is_empty() && renumbered.outputs().is_empty());
+                    prop_assert_eq!(&out_of_range_counts(plan), &pair_cut);
+                    for from in 0..parts {
+                        for to in 0..parts {
+                            prop_assert_eq!(plan.pair_cut(from, to), pair_cut[from * parts + to]);
                         }
                     }
                 }
