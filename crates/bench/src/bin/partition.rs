@@ -19,9 +19,12 @@
 //! median anchors the sweep's `vs_t1` column.
 //!
 //! Each rung's [`PartitionedEngine::compile`] is timed too — every
-//! `EngineChoice::prepare` of a partitioned net pays it — and lands in the
-//! `compile` column of the cut-traffic table, beside the compiled plan's
-//! [`PartitionPlan::memory_bytes`] in MB (`plan_mb`).
+//! `EngineChoice::prepare` of a partitioned net pays it: validation plus
+//! one cut-counting pass, since partition `q` is the contiguous id range
+//! `q·⌈n/K⌉..` of the net itself — and lands in the `compile` column of
+//! the cut-traffic table, beside the compiled plan's
+//! [`PartitionPlan::memory_bytes`] in MB (`plan_mb`: the bounds and cut
+//! counts only; the plan borrows the net).
 //!
 //! Emits `SGL_BENCH_JSON` lines (`group: "partition"`, ids `event/<n>`,
 //! `p1/<n>` ... `p8/<n>`, `p<K>t<T>/<n>` for the threaded sweep, and

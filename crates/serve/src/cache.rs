@@ -39,7 +39,7 @@ use sgl_core::{khop_layered, sssp_pseudo::SpikingSssp};
 use sgl_graph::{Graph, Len};
 use sgl_observe::{parse_json, Json, NullObserver, PhaseProfiler, RunObserver};
 use sgl_snn::engine::{EngineChoice, Prepared, RunConfig, RunResult, RunScratch};
-use sgl_snn::{Network, NeuronId, PartitionPlan, SnnError};
+use sgl_snn::{Network, NeuronId, SnnError};
 
 /// Structural fingerprint of a graph: 64-bit FNV-1a over `(n, m)` and the
 /// CSR edge list. Two graphs with the same node count and identical
@@ -477,7 +477,7 @@ impl CompiledNet {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.prepared.network().memory_bytes()
-            + self.prepared.plan().map_or(0, PartitionPlan::memory_bytes)
+            + self.prepared.plan().map_or(0, |plan| plan.memory_bytes())
     }
 
     /// The `t = 0` stimulus that makes this network answer for `source`.

@@ -48,7 +48,8 @@ use super::wheel::TimeWheel;
 use super::{BitplaneEngine, DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, RunResult};
 use crate::error::SnnError;
 use crate::network::Network;
-use crate::partition::{PartitionPlan, PartitionedEngine};
+use crate::partition::plan::PartitionCut;
+use crate::partition::PartitionPlan;
 use crate::types::{NeuronId, Time};
 
 /// Reusable per-run engine state: everything a run allocates that is not
@@ -152,7 +153,7 @@ impl RunScratch {
 
 /// `items` cut into one disjoint `&mut` chunk per range
 /// `bounds[q]..bounds[q + 1]`.
-pub(crate) fn split_at_bounds<'s, T>(mut items: &'s mut [T], bounds: &[usize]) -> Vec<&'s mut [T]> {
+fn split_at_bounds<'s, T>(mut items: &'s mut [T], bounds: &[usize]) -> Vec<&'s mut [T]> {
     bounds
         .windows(2)
         .map(|w| {
@@ -235,8 +236,8 @@ pub enum EngineChoice {
     /// runner already parallelizes *across* runs; nesting a parallel
     /// engine inside it oversubscribes unless the batch pool is small.
     Parallel(ParallelDenseEngine),
-    /// Always the partitioned engine with `parts` partitions (default
-    /// cut strategy; fails on spontaneous neurons, like `Event`). `Auto`
+    /// Always the partitioned engine with `parts` contiguous id ranges
+    /// (fails on spontaneous neurons, like `Event`). `Auto`
     /// also routes here when the monolithic footprint would exceed the
     /// partition memory budget, picking `parts` and `threads` together
     /// from the machine's core count.
@@ -346,7 +347,7 @@ impl EngineChoice {
                 Resolved::Parallel(engine)
             }
             Self::Partitioned { parts, threads } => Resolved::Partitioned {
-                plan: PartitionedEngine::new(parts).compile(g)?,
+                cut: PartitionPlan::compile(g, parts)?.into_cut(),
                 threads,
             },
         };
@@ -394,7 +395,11 @@ enum Resolved {
     Event,
     Bitplane,
     Parallel(ParallelDenseEngine),
-    Partitioned { plan: PartitionPlan, threads: usize },
+    /// The plan's bounds and cut counts; each run borrows the network.
+    Partitioned {
+        cut: PartitionCut,
+        threads: usize,
+    },
 }
 
 impl<N: Borrow<Network>> Prepared<N> {
@@ -402,9 +407,9 @@ impl<N: Borrow<Network>> Prepared<N> {
     /// at `t = 0`, calling `obs.on_finish` once the run succeeds. Every
     /// engine takes its transient neuron state from `scratch` (reset, not
     /// reallocated, on entry — results are bit-identical to a fresh
-    /// scratch); the partitioned engine resets it for the plan's
-    /// renumbered network and gives each partition its id range's slice,
-    /// keeping only wheels, spike lists and mailboxes per run.
+    /// scratch); the partitioned engine gives each partition its id
+    /// range's slice, keeping only wheels, spike lists and mailboxes per
+    /// run.
     ///
     /// The observer type monomorphizes: with [`NullObserver`] every hook
     /// call and every `O::ENABLED` gate compiles away. The event-driven
@@ -434,8 +439,8 @@ impl<N: Borrow<Network>> Prepared<N> {
             Resolved::Parallel(engine) => {
                 engine.run_core(net, initial_spikes, config, scratch, obs)
             }
-            Resolved::Partitioned { plan, threads } => {
-                return plan
+            Resolved::Partitioned { cut, threads } => {
+                return PartitionPlan::borrowed(net, cut)
                     .run_in(initial_spikes, config, *threads, scratch, obs)
                     .map(|(result, _)| result);
             }
@@ -457,9 +462,11 @@ impl<N: Borrow<Network>> Prepared<N> {
 
     /// The compiled partition plan, when the choice was partitioned.
     #[must_use]
-    pub fn plan(&self) -> Option<&PartitionPlan> {
+    pub fn plan(&self) -> Option<PartitionPlan<'_>> {
         match &self.engine {
-            Resolved::Partitioned { plan, .. } => Some(plan),
+            Resolved::Partitioned { cut, .. } => {
+                Some(PartitionPlan::borrowed(self.net.borrow(), cut))
+            }
             _ => None,
         }
     }
@@ -907,7 +914,7 @@ mod tests {
             let prepared = EngineChoice::Partitioned { parts: 3, threads }
                 .prepare(&net)
                 .unwrap();
-            assert_eq!(prepared.plan().map(PartitionPlan::parts), Some(3));
+            assert_eq!(prepared.plan().map(|plan| plan.parts()), Some(3));
             let mut scratch = RunScratch::new();
             for &s in &ids {
                 let cfg = RunConfig::until_quiescent(100).with_raster();

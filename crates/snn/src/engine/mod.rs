@@ -15,11 +15,11 @@ mod stepper;
 pub(crate) mod sync;
 pub(crate) mod wheel;
 
+pub(crate) use batch::LazyRange;
 pub use batch::{
     run_jobs, summarize, BatchRunner, EngineChoice, Prepared, RunScratch, RunSpec,
     DEFAULT_PARTITION_MEMORY_BUDGET,
 };
-pub(crate) use batch::{split_at_bounds, LazyRange};
 pub use bitplane::BitplaneEngine;
 pub use dense::DenseEngine;
 pub use event::EventEngine;
@@ -251,20 +251,9 @@ pub(crate) struct Recorder {
 
 impl Recorder {
     pub(crate) fn new(net: &Network, config: &RunConfig) -> Result<Self, SnnError> {
-        Self::with_shape(net.neuron_count(), net.terminal(), config)
-    }
-
-    /// [`Self::new`] from a network *shape* (neuron count + terminal)
-    /// instead of a `Network`. The partitioned engine records against
-    /// original ids, but at run time it only holds the plan's renumbered
-    /// network — the original network's shape lives in the plan.
-    pub(crate) fn with_shape(
-        n: usize,
-        net_terminal: Option<NeuronId>,
-        config: &RunConfig,
-    ) -> Result<Self, SnnError> {
+        let n = net.neuron_count();
         let terminal = match &config.stop {
-            StopCondition::Terminal => Some(net_terminal.ok_or(SnnError::NoTerminal)?),
+            StopCondition::Terminal => Some(net.terminal().ok_or(SnnError::NoTerminal)?),
             _ => None,
         };
         let pending_targets = match &config.stop {

@@ -79,8 +79,6 @@ pub use engine::{
 pub use error::SnnError;
 pub use network::{BitplaneTopology, Network, Synapse};
 pub use params::LifParams;
-pub use partition::{
-    CutStrategy, PartitionPlan, PartitionRunStats, PartitionedEngine, WorkerStats,
-};
+pub use partition::{PartitionPlan, PartitionRunStats, PartitionedEngine, WorkerStats};
 pub use raster::SpikeRaster;
 pub use types::{NeuronId, Time};

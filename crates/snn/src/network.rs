@@ -1,5 +1,6 @@
 //! The spiking neural network container (Definition 3 of the paper).
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::error::SnnError;
@@ -34,11 +35,10 @@ pub struct CsrTopology {
 }
 
 impl CsrTopology {
-    /// Assembles a topology from pre-sorted parts — the bulk compilers'
+    /// Assembles a topology from pre-sorted parts — the bulk compiler's
     /// entry point ([`crate::builder::NetworkBuilder`] counting-sorts
-    /// straight into these arrays, and the partition-plan compile writes
-    /// the renumbered rows into them directly; no per-neuron
-    /// allocations, no build-side adjacency ever exists).
+    /// straight into these arrays; no per-neuron allocations, no
+    /// build-side adjacency ever exists).
     pub(crate) fn from_parts(offsets: Vec<usize>, synapses: Vec<Synapse>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
@@ -69,6 +69,13 @@ impl CsrTopology {
     #[must_use]
     pub fn out(&self, i: usize) -> &[Synapse] {
         &self.synapses[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Outgoing synapses of neurons `ids`, as one slice: rows are stored
+    /// in id order, so a range of neurons owns a range of synapses.
+    #[inline]
+    pub(crate) fn rows(&self, ids: Range<usize>) -> &[Synapse] {
+        &self.synapses[self.offsets[ids.start]..self.offsets[ids.end]]
     }
 
     /// Every synapse in the network as one flat slice.
@@ -352,9 +359,8 @@ impl Network {
 
     /// Assembles a *born-frozen* network from bulk-compiled parts: the CSR
     /// is authoritative from the start and the build-side adjacency never
-    /// exists. Callers ([`crate::builder::NetworkBuilder::build`] and
-    /// [`crate::partition::PartitionPlan::compile`]) have already
-    /// validated every synapse.
+    /// exists. The caller ([`crate::builder::NetworkBuilder::build`]) has
+    /// already validated every synapse.
     pub(crate) fn from_frozen(
         params: Vec<LifParams>,
         csr: CsrTopology,

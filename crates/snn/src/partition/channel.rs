@@ -15,18 +15,18 @@ use crate::types::Time;
 
 /// One boundary-synapse delivery in flight between partitions.
 ///
-/// `src` is the *original* (source-network) id of the firing neuron: the
-/// receiver merges inbound mailbox streams with its own in-range routing
-/// by original source id, which reproduces the monolithic engines'
+/// `src` is the id of the firing neuron: the receiver merges inbound
+/// mailbox streams with its own in-range routing by source id, which
+/// reproduces the monolithic engines'
 /// (sorted firing id) × (CSR synapse order) scheduling order exactly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpikeEvent {
-    /// Original id of the neuron that fired.
+    /// Id of the neuron that fired.
     pub src: u32,
     /// Absolute arrival tick (`firing tick + synapse delay`).
     pub due: Time,
     /// Target neuron, as an offset into the *destination* partition's
-    /// range of the renumbered network.
+    /// id range.
     pub target_local: u32,
     /// Synaptic weight delivered on arrival.
     pub weight: f64,

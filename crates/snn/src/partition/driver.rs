@@ -68,7 +68,7 @@ type Part<'s> = (usize, PartState, LazyRange<'s>);
 /// One worker's outputs for one superstep, folded by the coordinator.
 #[derive(Default)]
 struct WorkerOut {
-    /// Original ids fired by this worker's partitions (concatenated in
+    /// Ids fired by this worker's partitions (concatenated in
     /// owned-partition order; the fold re-sorts globally).
     fired: Vec<NeuronId>,
     /// Sum of wheel-drain batch lengths across owned partitions.
@@ -92,13 +92,12 @@ struct WorkerOut {
     wait_ns: u64,
 }
 
-/// Runs `plan` with spikes induced in `initial_spikes` (original ids) at
-/// `t = 0` on `threads` workers, capped at the busy-partition count,
-/// taking the neuron state from `scratch` (reset for the renumbered
-/// network, then split by partition range). Everything but the final
-/// `on_finish` hook.
+/// Runs `plan` with spikes induced in `initial_spikes` at `t = 0` on
+/// `threads` workers, capped at the busy-partition count, taking the
+/// neuron state from `scratch` (reset for the plan's network, then split
+/// by partition range). Everything but the final `on_finish` hook.
 pub(super) fn run<O: RunObserver>(
-    plan: &PartitionPlan,
+    plan: &PartitionPlan<'_>,
     initial_spikes: &[NeuronId],
     config: &RunConfig,
     threads: usize,
@@ -111,7 +110,7 @@ pub(super) fn run<O: RunObserver>(
             return Err(SnnError::UnknownNeuron(id));
         }
     }
-    let rec = Recorder::with_shape(plan.neuron_count(), plan.terminal(), config)?;
+    let rec = Recorder::new(plan.network(), config)?;
     let mut all: Vec<Part<'_>> = scratch
         .split_ranges(plan.network(), plan.bounds())
         .into_iter()
@@ -151,7 +150,7 @@ pub(super) fn run<O: RunObserver>(
     initial.sort_unstable();
     initial.dedup();
     for id in initial {
-        let i = plan.new_id(id).index();
+        let i = id.index();
         let q = plan.part_of(i);
         all[q].1.fired.push(NeuronId((i - plan.bounds()[q]) as u32));
     }
@@ -225,7 +224,7 @@ pub(super) fn run<O: RunObserver>(
 /// no-op inline), then merge and report into `out`. At `t = 0` there is
 /// nothing to compute: the fired lists hold the injected spikes.
 fn superstep<O: RunObserver>(
-    plan: &PartitionPlan,
+    plan: &PartitionPlan<'_>,
     mailboxes: &[Option<Mailbox>],
     mine: &mut [Part<'_>],
     t: Time,
@@ -268,9 +267,9 @@ fn superstep<O: RunObserver>(
     out.next_time = None;
     for (q, st, _) in mine.iter_mut() {
         out.deliveries += merge_schedule(plan, *q, st, mailboxes, t, &mut out.tick_traffic);
-        let source_of = &plan.source_of()[plan.range(*q)];
+        let lo = plan.range(*q).start;
         out.fired
-            .extend(st.fired.iter().map(|l| source_of[l.index()]));
+            .extend(st.fired.iter().map(|l| NeuronId((lo + l.index()) as u32)));
         if let Some(nt) = st.wheel.next_time() {
             out.next_time = Some(out.next_time.map_or(nt, |b| b.min(nt)));
         }
@@ -286,7 +285,7 @@ struct Coordinator<'a, O> {
     config: &'a RunConfig,
     obs: &'a mut O,
     rec: Recorder,
-    /// This superstep's fired original ids, sorted.
+    /// This superstep's fired ids, sorted.
     fired: Vec<NeuronId>,
     /// This superstep's inbound message counts, summed over the cells.
     tick_traffic: Vec<u64>,
@@ -417,7 +416,7 @@ impl<O: RunObserver> Coordinator<'_, O> {
 /// One persistent pool worker: the worker body between the open and
 /// close crossings, with the publish crossing in the middle.
 fn worker_loop<O: RunObserver>(
-    plan: &PartitionPlan,
+    plan: &PartitionPlan<'_>,
     mailboxes: &[Option<Mailbox>],
     mut mine: Vec<Part<'_>>,
     cell: &Mutex<WorkerOut>,

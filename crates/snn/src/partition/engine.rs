@@ -14,12 +14,11 @@
 //!    out-of-range synapse of each fired source to the destination's
 //!    mailbox; then every partition schedules *all* deliveries addressed
 //!    to it — its own in-range routing and each inbound mailbox stream —
-//!    via a k-way merge by original source id.
+//!    via a k-way merge by source id.
 //!
 //! The merge is the bit-identity argument: monolithic engines schedule in
-//! (sorted original firing id) × (CSR synapse order). New ids ascend with
-//! original ids inside each range, so a partition's fired list and every
-//! inbound mailbox stream are each sorted by original source id, with
+//! (sorted firing id) × (CSR synapse order). A partition's fired list and
+//! every inbound mailbox stream are each sorted by source id, with
 //! disjoint sources; merging them by source id therefore replays the
 //! exact monolithic scheduling order into each partition wheel, and the
 //! wheels (sized to the *global* max delay so horizon classification
@@ -44,7 +43,6 @@ use crate::network::Network;
 use crate::types::{NeuronId, Time};
 
 use super::channel::SpikeEvent;
-use super::cut::CutStrategy;
 use super::plan::PartitionPlan;
 
 /// Cut-traffic accounting for one directed partition pair.
@@ -122,8 +120,7 @@ pub struct PartitionRunStats {
 pub(super) struct PartState {
     pub(super) wheel: TimeWheel,
     pub(super) batch: Vec<(NeuronId, f64)>,
-    /// Range-local ids fired this superstep, ascending (== ascending
-    /// original id).
+    /// Range-local ids fired this superstep, ascending.
     pub(super) fired: Vec<NeuronId>,
     pub(super) touched: Vec<NeuronId>,
     /// Per-peer inbound event buffers, swapped with the peers' mailboxes
@@ -168,9 +165,9 @@ pub(super) fn aggregate_scheduler<'a>(
     agg
 }
 
-impl PartitionPlan {
-    /// Runs the plan with spikes induced in `initial_spikes` (original ids)
-    /// at `t = 0`, driven by `threads` worker threads (capped at the
+impl PartitionPlan<'_> {
+    /// Runs the plan with spikes induced in `initial_spikes` at `t = 0`,
+    /// driven by `threads` worker threads (capped at the
     /// busy-partition count; one worker runs inline on the calling
     /// thread), and returns the run stats with the result — including the
     /// per-worker busy/barrier-wait totals and superstep imbalance when a
@@ -214,7 +211,7 @@ impl PartitionPlan {
     }
 
     /// [`Self::run_observed_threaded`] on the caller's `scratch`: reset
-    /// for the renumbered network, then split by partition range. Every
+    /// for the network, then split by partition range. Every
     /// partitioned run, [`crate::engine::Prepared::run`]'s included,
     /// goes through here.
     pub(crate) fn run_in<O: RunObserver>(
@@ -274,7 +271,7 @@ impl PartitionPlan {
 /// so within a mailbox the push order is `q`'s fired order × CSR order at
 /// any thread count. A plan with an empty cut skips the scan entirely.
 pub(super) fn publish_cut(
-    plan: &PartitionPlan,
+    plan: &PartitionPlan<'_>,
     q: usize,
     fired: &[NeuronId],
     mailboxes: &[Option<Mailbox>],
@@ -301,7 +298,7 @@ pub(super) fn publish_cut(
                 .lock()
                 .expect("mailbox poisoned")
                 .push(SpikeEvent {
-                    src: plan.source_of()[i].0,
+                    src: i as u32,
                     due: t + Time::from(s.delay),
                     target_local: (target - plan.bounds()[to]) as u32,
                     weight: s.weight,
@@ -314,11 +311,11 @@ pub(super) fn publish_cut(
 /// inbound mailbox (a `Vec` swap with the cleared inbox, so no event is
 /// copied and both buffers keep their capacity), then k-way merge the
 /// disjoint-source streams (own in-range routing + one stream per peer)
-/// into the wheel by original source id. Returns the deliveries
+/// into the wheel by source id. Returns the deliveries
 /// scheduled; inbound message counts accumulate into
 /// `tick_traffic[peer * parts + q]`.
 pub(super) fn merge_schedule(
-    plan: &PartitionPlan,
+    plan: &PartitionPlan<'_>,
     q: usize,
     st: &mut PartState,
     mailboxes: &[Option<Mailbox>],
@@ -329,7 +326,6 @@ pub(super) fn merge_schedule(
     let csr = plan.network().csr();
     let range = plan.range(q);
     let (lo, len) = (range.start, range.len());
-    let source_of = &plan.source_of()[range];
     // Routes own source `l`'s in-range synapses (the rest went out through
     // `publish_cut`); one compare tests `lo <= target < lo + len`.
     let route_own = |l: NeuronId, wheel: &mut TimeWheel| {
@@ -373,7 +369,7 @@ pub(super) fn merge_schedule(
 
     // Nothing inbound (always true at one partition, and the common case
     // on quiet boundaries): own-fired is the only stream, already in
-    // ascending original order — route it directly, skipping the
+    // ascending id order — route it directly, skipping the
     // per-source merge scan.
     if inbound == 0 {
         for &l in fired.iter() {
@@ -384,12 +380,12 @@ pub(super) fn merge_schedule(
 
     let mut own_i = 0usize;
     loop {
-        // Lowest next original source across own fired + inboxes.
+        // Lowest next source id across own fired + inboxes.
         let mut best_src = u32::MAX;
         let mut best_stream = p; // p = the own-fired stream
         let mut found = false;
         if own_i < fired.len() {
-            best_src = source_of[fired[own_i].index()].0;
+            best_src = (lo + fired[own_i].index()) as u32;
             found = true;
         }
         for peer in 0..p {
@@ -444,19 +440,17 @@ pub(super) fn emit_cut_traffic<O: RunObserver>(
     tick_traffic.fill(0);
 }
 
-/// The partitioned execution engine: compiles an edge-cut
+/// The partitioned execution engine: compiles a contiguous-range
 /// [`PartitionPlan`] and drives it with bulk-synchronous supersteps.
 ///
 /// Bit-identical to [`crate::engine::EventEngine`] (including work
-/// counters) under any partition count and strategy. For repeated runs
+/// counters) under any partition count and bounds. For repeated runs
 /// over one network, compile the plan once via [`Self::compile`] (or
 /// [`crate::engine::EngineChoice::prepare`]) and run that.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionedEngine {
     /// Number of partitions (>= 1; empty partitions are allowed).
     pub parts: usize,
-    /// Edge-cut strategy used at compile time.
-    pub strategy: CutStrategy,
     /// Worker threads driving the supersteps (1 = inline on the calling
     /// thread; more engages a worker pool, capped at the busy-partition
     /// count).
@@ -464,22 +458,11 @@ pub struct PartitionedEngine {
 }
 
 impl PartitionedEngine {
-    /// An engine with `parts` partitions, the default cut strategy, and
-    /// one worker (inline, no pool).
+    /// An engine with `parts` partitions and one worker (inline, no
+    /// pool).
     #[must_use]
     pub fn new(parts: usize) -> Self {
-        Self {
-            parts,
-            strategy: CutStrategy::default(),
-            threads: 1,
-        }
-    }
-
-    /// Overrides the edge-cut strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: CutStrategy) -> Self {
-        self.strategy = strategy;
-        self
+        Self { parts, threads: 1 }
     }
 
     /// Sets the worker-thread count for the superstep loop. `0` and `1`
@@ -490,19 +473,19 @@ impl PartitionedEngine {
         self
     }
 
-    /// Compiles `net` into a reusable [`PartitionPlan`].
+    /// Compiles `net` into a reusable [`PartitionPlan`] that borrows it.
     ///
     /// # Errors
     /// Fails when the network is invalid for event-style execution.
-    pub fn compile(&self, net: &Network) -> Result<PartitionPlan, SnnError> {
-        PartitionPlan::compile(net, self.parts, self.strategy.partitioner())
+    pub fn compile<'n>(&self, net: &'n Network) -> Result<PartitionPlan<'n>, SnnError> {
+        PartitionPlan::compile(net, self.parts)
     }
 }
 
 impl Engine for PartitionedEngine {
     /// One-shot compile + run. Repeated runs over one network compile once
-    /// instead: [`crate::engine::EngineChoice::prepare`] (default cut
-    /// strategy) or [`Self::compile`] plus
+    /// instead: [`crate::engine::EngineChoice::prepare`] or
+    /// [`Self::compile`] plus
     /// [`PartitionPlan::run_with_stats_threaded`].
     fn run(
         &self,
@@ -549,7 +532,6 @@ mod tests {
         // 4-chain split in half: one cut edge, crossed once.
         let net = chain(4, 1);
         let (result, stats) = PartitionedEngine::new(2)
-            .with_strategy(CutStrategy::Range)
             .compile(&net)
             .unwrap()
             .run_with_stats_threaded(&[NeuronId(0)], &RunConfig::until_quiescent(10), 1)

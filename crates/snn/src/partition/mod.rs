@@ -6,21 +6,19 @@
 //! that stops fitting. This module follows the multi-chip scaling recipe
 //! of von Seeler et al. (*Road to scalability for efficient graph search
 //! on massively parallel neuromorphic hardware*): partition the neuron
-//! set, renumber the network once so each partition owns one contiguous
-//! id range, run the partitions independently, and pay only for cut-edge
-//! spike traffic — all inter-partition communication is pure spike
-//! events, per Hamilton, Mintz & Schuman's spike-based primitives
-//! discipline.
+//! set into contiguous id ranges of the network itself, run the
+//! partitions independently, and pay only for cut-edge spike traffic —
+//! all inter-partition communication is pure spike events, per Hamilton,
+//! Mintz & Schuman's spike-based primitives discipline.
 //!
-//! Four layers:
+//! Three layers:
 //!
-//! * [`cut`] — pluggable [`Partitioner`] strategies producing a
-//!   neuron → partition assignment ([`RangePartitioner`],
-//!   [`BfsGrowPartitioner`]).
-//! * [`plan`] — [`PartitionPlan::compile`] renumbers the network into one
-//!   frozen [`crate::Network`] in which partition `q` owns the id range
-//!   `bounds[q]..bounds[q + 1]` (a synapse is cut exactly when its target
-//!   lies outside that range), accounted by [`PartitionPlan::memory_bytes`].
+//! * [`plan`] — [`PartitionPlan::compile`] borrows the network and gives
+//!   partition `q` the id range `bounds[q]..bounds[q + 1]` of `⌈n/parts⌉`
+//!   neurons (a synapse is cut exactly when its target lies outside that
+//!   range); the plan holds only the bounds and per-pair cut counts,
+//!   accounted by [`PartitionPlan::memory_bytes`]. A different cut is a
+//!   build-time renumbering of the network.
 //! * [`engine`] — [`PartitionedEngine`] and the per-partition phases of
 //!   a bulk-synchronous superstep: compute (the event engine's own
 //!   update step over the partition's slice of one
@@ -40,17 +38,15 @@
 //!
 //! Results are bit-identical to [`crate::engine::EventEngine`] — same
 //! spike times, same raster, same work counters — under any partition
-//! count or strategy *and any thread count*; the differential proptests
-//! in `tests/engine_equivalence.rs` enforce this at 1/2/4/8 partitions
-//! and 1/2/4 worker threads.
+//! count or bounds *and any thread count*; the differential proptests
+//! in `tests/engine_equivalence.rs` enforce this at 1/2/4/8 partitions,
+//! under default and drawn bounds, and 1/2/4 worker threads.
 
 pub mod channel;
-pub mod cut;
 mod driver;
 pub mod engine;
 pub mod plan;
 
 pub use channel::SpikeEvent;
-pub use cut::{BfsGrowPartitioner, CutStrategy, Partitioner, RangePartitioner};
 pub use engine::{ChannelTraffic, PartitionRunStats, PartitionedEngine, WorkerStats};
 pub use plan::PartitionPlan;

@@ -4,9 +4,11 @@
 //! reason, and work counters (modulo the documented `neuron_updates`
 //! semantic difference; the partitioned engine matches the event engine
 //! exactly, counters included) — across random networks. The partitioned
-//! engine is swept at 1/2/4/8 partitions and, via the threaded BSP
-//! driver, at 1/2/4 worker threads — the threaded sweep pins the f64
-//! accumulation order, work counters, and observer series alike.
+//! engine is swept at 1/2/4/8 partitions, under the default equal ranges
+//! and under bounds the proptest draws (uneven, empty and single-neuron
+//! ranges), and, via the threaded BSP driver, at 1/2/4 worker threads —
+//! the threaded sweep pins the f64 accumulation order, work counters, and
+//! observer series alike.
 //!
 //! Weights are drawn from a continuous range, so per-target synaptic sums
 //! genuinely depend on accumulation order: these tests fail if any engine
@@ -21,7 +23,7 @@ use sgl_snn::{
         BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine, ParallelDenseEngine,
         RunConfig, RunObserver, RunResult, RunScratch, TimeSeriesObserver,
     },
-    CutStrategy, LifParams, Network, NeuronId, PartitionedEngine,
+    LifParams, Network, NeuronId, PartitionPlan, PartitionedEngine,
 };
 
 /// One observed run: prepare `choice` for `net`, then run it once over a
@@ -59,6 +61,22 @@ struct NetSpec {
     // (src, dst, weight, small delay, large delay, delay kind)
     synapses: Vec<(usize, usize, f64, u32, u32, u8)>,
     initial: Vec<usize>,
+    /// Cut points in `0..=n`, one per extra partition up to eight: the
+    /// drawn partition bounds (see [`NetSpec::bounds`]).
+    cuts: Vec<usize>,
+}
+
+impl NetSpec {
+    /// Partition bounds for `parts` partitions from the drawn cut points:
+    /// uneven ranges, with repeated or end cut points leaving some empty.
+    fn bounds(&self, parts: usize) -> Vec<usize> {
+        let mut cuts = self.cuts[..parts - 1].to_vec();
+        cuts.sort_unstable();
+        let mut bounds = vec![0];
+        bounds.extend(cuts);
+        bounds.push(self.neurons.len());
+        bounds
+    }
 }
 
 fn net_spec() -> impl Strategy<Value = NetSpec> {
@@ -73,10 +91,12 @@ fn net_spec() -> impl Strategy<Value = NetSpec> {
         let synapse = (0..n, 0..n, -2.5f64..3.5, 1u32..6, 4097u32..6000, 0u8..8);
         let synapses = proptest::collection::vec(synapse, 1..25);
         let initial = proptest::collection::vec(0..n, 1..4);
-        (neurons, synapses, initial).prop_map(|(neurons, synapses, initial)| NetSpec {
+        let cuts = proptest::collection::vec(0..=n, 7);
+        (neurons, synapses, initial, cuts).prop_map(|(neurons, synapses, initial, cuts)| NetSpec {
             neurons,
             synapses,
             initial,
+            cuts,
         })
     })
 }
@@ -197,15 +217,15 @@ proptest! {
             // The partitioned engine shares the event engine's lazy-decay
             // update and touched-set accounting, so its *entire* result —
             // work counters included — must equal the event engine's, at
-            // every partition count and under both cut strategies.
+            // every partition count, under equal and drawn bounds.
             for parts in PART_COUNTS {
-                for strategy in [CutStrategy::BfsGrow, CutStrategy::Range] {
-                    let part = PartitionedEngine::new(parts)
-                        .with_strategy(strategy)
-                        .run(&net, &initial, &cfg)
-                        .unwrap();
-                    prop_assert_eq!(&event, &part);
-                }
+                let part = PartitionedEngine::new(parts).run(&net, &initial, &cfg).unwrap();
+                prop_assert_eq!(&event, &part);
+                let (drawn, _) = PartitionPlan::with_bounds(&net, spec.bounds(parts))
+                    .unwrap()
+                    .run_with_stats_threaded(&initial, &cfg, 1)
+                    .unwrap();
+                prop_assert_eq!(&event, &drawn, "parts {} bounds {:?}", parts, spec.bounds(parts));
             }
             // A frozen network is observationally the same network.
             let dense_frozen = DenseEngine.run(&frozen, &initial, &cfg).unwrap();
@@ -338,7 +358,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The threaded BSP driver sweep: every (threads, parts, strategy)
+    /// The threaded BSP driver sweep: every (threads, parts, bounds)
     /// combination of the worker pool must reproduce the event engine's
     /// result bit-for-bit — raster, termination, and work counters — on
     /// random networks with order-sensitive f64 weights, beyond-horizon
@@ -354,16 +374,18 @@ proptest! {
         ] {
             let event = EventEngine.run(&net, &initial, &cfg).unwrap();
             for parts in [2usize, 4, 8] {
-                for strategy in [CutStrategy::BfsGrow, CutStrategy::Range] {
+                let plans = [
+                    PartitionedEngine::new(parts).compile(&net).unwrap(),
+                    PartitionPlan::with_bounds(&net, spec.bounds(parts)).unwrap(),
+                ];
+                for plan in &plans {
                     for threads in THREAD_COUNTS {
-                        let part = PartitionedEngine::new(parts)
-                            .with_strategy(strategy)
-                            .with_threads(threads)
-                            .run(&net, &initial, &cfg)
+                        let (part, _) = plan
+                            .run_with_stats_threaded(&initial, &cfg, threads)
                             .unwrap();
                         prop_assert_eq!(
                             &event, &part,
-                            "parts {} threads {} strategy {:?}", parts, threads, strategy
+                            "parts {} threads {} bounds {:?}", parts, threads, plan.bounds()
                         );
                     }
                 }

@@ -8,19 +8,18 @@
 //! under the threaded driver with two producers running concurrently) —
 //! plus conservation properties: cut traffic must equal the
 //! boundary-synapse share of `SimStats::synaptic_deliveries`, and the
-//! plan's memory accounting must cover the sum of its parts. A
-//! differential proptest pins the plan compile's renumbered network to
-//! what `NetworkBuilder` builds from the same rows in partition order.
+//! plan's memory is its bounds and cut counts alone. A brute-force
+//! proptest pins the plan's per-pair cut counts and `part_of` over drawn
+//! bounds, and owned prepared plans run like borrowed ones.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sgl_snn::engine::{
-    Engine, EngineChoice, EventEngine, NullObserver, RunConfig, RunObserver, RunScratch,
+    Engine, EngineChoice, EventEngine, NullObserver, Prepared, RunConfig, RunObserver, RunScratch,
     TimeSeriesObserver,
 };
-use sgl_snn::partition::plan::PARALLEL_COMPILE_MIN_WORK;
-use sgl_snn::partition::{CutStrategy, PartitionPlan, PartitionedEngine, RangePartitioner};
+use sgl_snn::partition::{PartitionPlan, PartitionedEngine};
 use sgl_snn::{LifParams, Network, NetworkBuilder, NeuronId};
 
 /// Observer that tallies `on_cut_traffic` per superstep — the per-tick
@@ -57,7 +56,7 @@ fn star(n_leaves: usize, delay: u32) -> Network {
 fn all_cut_star_routes_every_delivery_through_channels() {
     let net = star(40, 2);
     // Range split [hub | leaves...]: partition 0 = {hub}, rest = leaves.
-    let plan = PartitionPlan::compile(&net, 41, &RangePartitioner).unwrap();
+    let plan = PartitionPlan::compile(&net, 41).unwrap();
     assert_eq!(plan.cut_edge_count(), 40);
     let mono = EventEngine
         .run(&net, &[NeuronId(0)], &RunConfig::until_quiescent(10))
@@ -79,15 +78,7 @@ fn wide_cut_fan_out_is_lossless_and_ordered() {
     // entire fan-out in one superstep.
     let n_leaves = 20_000;
     let net = star(n_leaves, 3);
-    let mut assignment = vec![1u32; n_leaves + 1];
-    assignment[0] = 0;
-    struct Fixed(Vec<u32>);
-    impl sgl_snn::partition::Partitioner for Fixed {
-        fn assign(&self, _net: &Network, _parts: usize) -> Vec<u32> {
-            self.0.clone()
-        }
-    }
-    let plan = PartitionPlan::compile(&net, 2, &Fixed(assignment)).unwrap();
+    let plan = PartitionPlan::with_bounds(&net, vec![0, 1, n_leaves + 1]).unwrap();
     let cfg = RunConfig::until_quiescent(10);
     let mono = EventEngine.run(&net, &[NeuronId(0)], &cfg).unwrap();
     let (part, stats) = plan
@@ -124,22 +115,8 @@ fn threaded_wide_cut_fan_out_is_lossless() {
     // p0 = {driver0, hub0}, p1 = {driver1, hub1}, p2 = hub0's leaves,
     // p3 = hub1's leaves: two disjoint producer/consumer mailbox pairs,
     // owned by different workers at every thread count below.
-    let mut assignment = vec![0u32; net.neuron_count()];
-    assignment[driver1.index()] = 1;
-    assignment[hub1.index()] = 1;
-    for &l in &leaves0 {
-        assignment[l.index()] = 2;
-    }
-    for &l in &leaves1 {
-        assignment[l.index()] = 3;
-    }
-    struct Fixed(Vec<u32>);
-    impl sgl_snn::partition::Partitioner for Fixed {
-        fn assign(&self, _net: &Network, _parts: usize) -> Vec<u32> {
-            self.0.clone()
-        }
-    }
-    let plan = PartitionPlan::compile(&net, 4, &Fixed(assignment)).unwrap();
+    let bounds = vec![0, 2, 4, 4 + n_leaves, 4 + 2 * n_leaves];
+    let plan = PartitionPlan::with_bounds(&net, bounds).unwrap();
     let cfg = RunConfig::until_quiescent(10);
     let mono = EventEngine.run(&net, &[driver0, driver1], &cfg).unwrap();
     for threads in [2, 4] {
@@ -152,6 +129,36 @@ fn threaded_wide_cut_fan_out_is_lossless() {
         assert_eq!(stats.workers.len(), threads);
         let owned: u32 = stats.workers.iter().map(|w| w.partitions).sum();
         assert_eq!(owned, 4, "round-robin ownership covers every partition");
+    }
+}
+
+/// The merge into a partition's wheel follows the sources' *global* ids
+/// across every stream. With bounds `[0, 2, 4, 8]`, the target hears from
+/// three sources in one tick, with weights `1e17, -1e17, 1` in id order:
+/// that sum is 1, which fires it, while any other order gives
+/// `1e17 + 1 - 1e17 = 0`, which does not. Target 3 hears from 0, 2 (its
+/// own range) and 5 (range-local id 1), so ordering a peer's events by
+/// range-local id would misplace 5; target 4 hears from 1, 3 (range-local
+/// id 1) and 7 (its own range, range-local id 3), so ordering its own
+/// stream by range-local id would misplace 7.
+#[test]
+fn cross_partition_merge_follows_global_source_order() {
+    for (sources, target) in [([0, 2, 5], 3), ([1, 3, 7], 4)] {
+        let mut net = Network::new();
+        let ids = net.add_neurons(LifParams::gate(0.5), 8);
+        for (s, w) in sources.iter().zip([1e17, -1e17, 1.0]) {
+            net.connect(ids[*s], ids[target], w, 1).unwrap();
+        }
+        let plan = PartitionPlan::with_bounds(&net, vec![0, 2, 4, 8]).unwrap();
+        let init = sources.map(|s| ids[s]);
+        let cfg = RunConfig::until_quiescent(10).with_raster();
+        let mono = EventEngine.run(&net, &init, &cfg).unwrap();
+        assert!(mono.fired(ids[target]));
+        for threads in [1, 2] {
+            let (part, stats) = plan.run_with_stats_threaded(&init, &cfg, threads).unwrap();
+            assert_eq!(mono, part, "target {target}, threads = {threads}");
+            assert_eq!(stats.cut_messages, 2);
+        }
     }
 }
 
@@ -170,7 +177,7 @@ fn empty_partitions_and_zero_cut_partitions_run_clean() {
     let cfg = RunConfig::until_quiescent(10);
     let mono = EventEngine.run(&net, &[ids[0], ids[3]], &cfg).unwrap();
 
-    let plan = PartitionPlan::compile(&net, 2, &RangePartitioner).unwrap();
+    let plan = PartitionPlan::compile(&net, 2).unwrap();
     assert_eq!(plan.cut_edge_count(), 0, "clusters align with the split");
     let (part, stats) = plan
         .run_with_stats_threaded(&[ids[0], ids[3]], &cfg, 1)
@@ -189,56 +196,56 @@ fn empty_partitions_and_zero_cut_partitions_run_clean() {
     assert_eq!(stats.parts, 12);
 }
 
-/// Synapses of the renumbered network whose target lies outside their
-/// source's range, counted per ordered partition pair
-/// (`[from * parts + to]`).
-fn out_of_range_counts(plan: &PartitionPlan) -> Vec<u64> {
-    let parts = plan.parts();
+/// Synapses whose target lies outside their source's range, counted per
+/// ordered partition pair (`[from * parts + to]`) by brute force: every
+/// neuron's owner is the range that contains it.
+fn out_of_range_counts(net: &Network, bounds: &[usize]) -> Vec<u64> {
+    let parts = bounds.len() - 1;
+    let owner = |v: usize| (0..parts).find(|&q| (bounds[q]..bounds[q + 1]).contains(&v));
     let mut counts = vec![0u64; parts * parts];
-    for from in 0..parts {
-        for i in plan.range(from) {
-            for s in plan.network().csr().out(i) {
-                let to = plan.part_of(s.target.index());
-                if to != from {
-                    counts[from * parts + to] += 1;
-                }
+    for v in 0..net.neuron_count() {
+        let from = owner(v).expect("bounds cover every neuron");
+        for s in net.csr().out(v) {
+            let to = owner(s.target.index()).expect("bounds cover every neuron");
+            if to != from {
+                counts[from * parts + to] += 1;
             }
         }
     }
     counts
 }
 
-/// The plan's memory accounting must cover the renumbered network's own
-/// accounting, and compare sanely against the monolithic build (the
-/// renumbered network holds the same neurons and synapses; only the id
-/// maps and cut counts are extra).
+/// A plan borrows its network, so its memory is the bounds and cut counts
+/// alone: the same neuron count with ten times the synapses (and a cut
+/// ten times as large) accounts to the same bytes.
 #[test]
-fn plan_memory_accounting_covers_network_and_id_maps() {
-    let mut net = Network::new();
-    let ids = net.add_neurons(LifParams::gate_at_least(1), 64);
-    for i in 0..64usize {
-        net.connect(ids[i], ids[(i * 7 + 1) % 64], 1.0, 1 + (i as u32 % 5))
-            .unwrap();
-        net.connect(ids[i], ids[(i * 3 + 2) % 64], -0.5, 1).unwrap();
-    }
-    net.freeze();
+fn plan_memory_is_independent_of_the_synapse_count() {
+    let net_with = |fanout: usize| {
+        let mut net = Network::new();
+        let ids = net.add_neurons(LifParams::gate_at_least(1), 64);
+        for i in 0..64usize {
+            for k in 1..=fanout {
+                net.connect(ids[i], ids[(i * 7 + k) % 64], 1.0, 1 + (k as u32 % 5))
+                    .unwrap();
+            }
+        }
+        net.freeze();
+        net
+    };
+    let (sparse, dense) = (net_with(2), net_with(20));
+    assert_eq!(dense.synapse_count(), 10 * sparse.synapse_count());
     for parts in [1, 2, 4, 8] {
-        let plan = PartitionPlan::compile(&net, parts, &RangePartitioner).unwrap();
-        let net_bytes = plan.network().memory_bytes();
-        let total = plan.memory_bytes();
-        assert!(
-            total >= net_bytes + 2 * net.neuron_count() * std::mem::size_of::<NeuronId>(),
-            "parts = {parts}: {total} must cover the network ({net_bytes}) and id maps"
+        let small = PartitionPlan::compile(&sparse, parts).unwrap();
+        let large = PartitionPlan::compile(&dense, parts).unwrap();
+        assert_eq!(
+            small.memory_bytes(),
+            large.memory_bytes(),
+            "parts = {parts}"
         );
-        // Neuron and synapse conservation against the monolithic build.
-        assert_eq!(plan.network().neuron_count(), net.neuron_count());
-        assert_eq!(plan.network().synapse_count(), net.synapse_count());
-        let cut: u64 = out_of_range_counts(&plan).iter().sum();
-        assert_eq!(cut, plan.cut_edge_count());
-        // Partitioning a net never accounts to less than the per-neuron /
-        // per-synapse state it still holds: compare against a monolithic
-        // lower bound built from the same counts.
-        assert!(total >= net.neuron_count() * std::mem::size_of::<LifParams>());
+        assert!(small.memory_bytes() < sparse.memory_bytes());
+        if parts > 1 {
+            assert!(large.cut_edge_count() > small.cut_edge_count());
+        }
     }
 }
 
@@ -321,7 +328,7 @@ proptest! {
     fn channel_traffic_equals_boundary_delivery_counts(
         edges in proptest::collection::vec((0usize..12, 0usize..12, 1u32..5), 1..40),
         stims in proptest::collection::vec(0usize..12, 1..4),
-        parts in 2usize..5,
+        cuts in proptest::collection::vec(0usize..=12, 1..4),
     ) {
         let mut net = Network::new();
         let ids = net.add_neurons(LifParams::gate_at_least(1), 12);
@@ -331,8 +338,13 @@ proptest! {
         let initial: Vec<NeuronId> = stims.iter().map(|&i| ids[i]).collect();
         let cfg = RunConfig::until_quiescent(50);
 
-        let engine = PartitionedEngine::new(parts).with_strategy(CutStrategy::BfsGrow);
-        let plan = engine.compile(&net).unwrap();
+        // 2..5 partitions over drawn, possibly empty or single-neuron
+        // ranges.
+        let mut bounds = vec![0];
+        bounds.extend(cuts);
+        bounds.push(12);
+        bounds.sort_unstable();
+        let plan = PartitionPlan::with_bounds(&net, bounds).unwrap();
         let mut tally = CutTally::default();
         let (result, stats) = plan
             .run_observed_threaded(&initial, &cfg, 1, &mut tally)
@@ -341,7 +353,7 @@ proptest! {
         // Expected totals from the spike counts: each spike of neuron v
         // delivers out_degree(v) times, cut_degree(v) of them over
         // channels.
-        let part = |v: usize| plan.part_of(plan.new_id(NeuronId(v as u32)).index());
+        let part = |v: usize| plan.part_of(v);
         let mut expected_cut = 0u64;
         let mut expected_total = 0u64;
         for (v, &count) in result.spike_counts.iter().enumerate() {
@@ -425,20 +437,10 @@ proptest! {
 
 /// A random input-driven network from `seed`: mixed LIF kinds (reset
 /// potentials in `[-1, 0]`), continuous weights, self-loops, parallel
-/// edges and the odd beyond-horizon delay. `big` nets exceed
-/// `PARALLEL_COMPILE_MIN_WORK`, so a multi-threaded compile really fans
-/// out.
-fn random_net(seed: u64, big: bool) -> Network {
+/// edges, the odd beyond-horizon delay and sometimes a terminal.
+fn random_net(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (n, m) = if big {
-        let n = rng.gen_range(1500usize..2500);
-        (
-            n,
-            PARALLEL_COMPILE_MIN_WORK - n + rng.gen_range(0usize..4000),
-        )
-    } else {
-        (rng.gen_range(1usize..40), rng.gen_range(0usize..120))
-    };
+    let (n, m) = (rng.gen_range(1usize..40), rng.gen_range(0usize..120));
     let mut b = NetworkBuilder::with_capacity(n, m);
     for _ in 0..n {
         let v_threshold = rng.gen_range(0.5f64..4.0);
@@ -476,94 +478,78 @@ fn random_net(seed: u64, big: bool) -> Network {
     b.build().unwrap()
 }
 
-/// The oracle: the network `NetworkBuilder` builds from the source rows in
-/// (partition, ascending original id) order with targets renumbered the
-/// same way, that order (new id -> original id), and the cut count per
-/// ordered partition pair (`[from * parts + to]`).
-fn oracle(net: &Network, assignment: &[u32], parts: usize) -> (Network, Vec<NeuronId>, Vec<u64>) {
-    let n = net.neuron_count();
-    let order: Vec<NeuronId> = (0..parts)
-        .flat_map(|p| (0..n).filter(move |&g| assignment[g] as usize == p))
-        .map(|g| NeuronId(g as u32))
-        .collect();
-    let mut new_of = vec![0u32; n];
-    for (i, g) in order.iter().enumerate() {
-        new_of[g.index()] = i as u32;
-    }
-    let mut b = NetworkBuilder::with_capacity(n, net.synapse_count());
-    for g in &order {
-        b.add_neuron(net.params_slice()[g.index()]);
-    }
-    let mut pair_cut = vec![0u64; parts * parts];
-    for (i, g) in order.iter().enumerate() {
-        let from = assignment[g.index()] as usize;
-        for s in net.csr().out(g.index()) {
-            let t = s.target.index();
-            let to = assignment[t] as usize;
-            if to != from {
-                pair_cut[from * parts + to] += 1;
-            }
-            b.connect(NeuronId(i as u32), NeuronId(new_of[t]), s.weight, s.delay);
-        }
-    }
-    (b.build().unwrap(), order, pair_cut)
+/// Bounds for `parts` partitions of `n` neurons from drawn cut points
+/// (each taken modulo `n + 1`): uneven, some empty, some single-neuron.
+fn drawn_bounds(cuts: &[usize], parts: usize, n: usize) -> Vec<usize> {
+    let mut bounds: Vec<usize> = cuts[..parts - 1].iter().map(|&c| c % (n + 1)).collect();
+    bounds.push(0);
+    bounds.push(n);
+    bounds.sort_unstable();
+    bounds
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Plan-compile differential: the renumbered network the compile
-    /// emits directly must equal — parameters, CSR layout, max delay,
-    /// memory footprint, frozen state — the network `NetworkBuilder`
-    /// builds from the same rows in (partition, ascending original id)
-    /// order, and its out-of-range synapses must be exactly the oracle's
-    /// cut, pair by pair. A 4-thread compile must reproduce the 1-thread
-    /// plan, id maps and accounting included.
+    /// Plan compile against brute force: over drawn bounds, `part_of`
+    /// names the range containing each neuron and every per-pair cut
+    /// count equals a scan of every synapse; the default compile gives
+    /// partition `q` the ids `q·⌈n/parts⌉..` and borrows the network.
     #[test]
-    fn plan_compile_matches_builder_oracle(seed in 0u64..1_000_000, size in 0u8..4) {
-        let net = random_net(seed, size == 0);
-        for strategy in [CutStrategy::BfsGrow, CutStrategy::Range] {
-            for parts in [1usize, 2, 3, 4, 8] {
-                let assignment = strategy.partitioner().assign(&net, parts);
-                let plans: Vec<PartitionPlan> = [1, 4]
-                    .iter()
-                    .map(|&threads| {
-                        PartitionPlan::compile_with_threads(
-                            &net,
-                            parts,
-                            strategy.partitioner(),
-                            threads,
-                        )
-                        .unwrap()
-                    })
-                    .collect();
-                let (seq, par) = (&plans[0], &plans[1]);
-                prop_assert_eq!(seq.memory_bytes(), par.memory_bytes());
-                prop_assert_eq!(seq.cut_edge_count(), par.cut_edge_count());
-                prop_assert_eq!(seq.bounds(), par.bounds());
-                prop_assert_eq!(seq.source_of(), par.source_of());
-                let (expected, order, pair_cut) = oracle(&net, &assignment, parts);
-                for plan in &plans {
-                    prop_assert_eq!(plan.source_of(), &order[..]);
-                    for (g, &p) in assignment.iter().enumerate() {
-                        let i = plan.new_id(NeuronId(g as u32)).index();
-                        prop_assert_eq!(plan.part_of(i), p as usize);
-                    }
-                    let renumbered = plan.network();
-                    prop_assert_eq!(renumbered.params_slice(), expected.params_slice());
-                    prop_assert_eq!(renumbered.csr(), expected.csr());
-                    prop_assert_eq!(renumbered.max_delay(), expected.max_delay());
-                    prop_assert_eq!(renumbered.memory_bytes(), expected.memory_bytes());
-                    prop_assert_eq!(renumbered.is_frozen(), expected.is_frozen());
-                    prop_assert_eq!(renumbered.terminal(), None);
-                    prop_assert!(renumbered.inputs().is_empty() && renumbered.outputs().is_empty());
-                    prop_assert_eq!(&out_of_range_counts(plan), &pair_cut);
-                    for from in 0..parts {
-                        for to in 0..parts {
-                            prop_assert_eq!(plan.pair_cut(from, to), pair_cut[from * parts + to]);
-                        }
+    fn plan_cut_counts_match_brute_force(
+        seed in 0u64..1_000_000,
+        cuts in proptest::collection::vec(0usize..64, 7),
+    ) {
+        let net = random_net(seed);
+        let n = net.neuron_count();
+        for parts in [1usize, 2, 3, 4, 8] {
+            let chunk = n.div_ceil(parts);
+            let equal: Vec<usize> = (0..=parts).map(|q| (q * chunk).min(n)).collect();
+            let compiled = PartitionPlan::compile(&net, parts).unwrap();
+            prop_assert_eq!(compiled.bounds(), &equal[..]);
+            prop_assert!(std::ptr::eq(compiled.network(), &net));
+            let drawn = PartitionPlan::with_bounds(&net, drawn_bounds(&cuts, parts, n)).unwrap();
+            for plan in [&compiled, &drawn] {
+                let bounds = plan.bounds();
+                for v in 0..n {
+                    let q = plan.part_of(v);
+                    prop_assert!(bounds[q] <= v && v < bounds[q + 1], "{} in {:?}", v, bounds);
+                }
+                let expected = out_of_range_counts(&net, bounds);
+                for from in 0..parts {
+                    for to in 0..parts {
+                        prop_assert_eq!(plan.pair_cut(from, to), expected[from * parts + to]);
                     }
                 }
+                prop_assert_eq!(plan.cut_edge_count(), expected.iter().sum::<u64>());
+            }
+        }
+    }
+}
+
+/// An owned `Prepared<Network>` (the shape the serve cache holds) keeps
+/// only the plan's bounds and cut counts and lends its own network to
+/// each run: at one and two threads, from every source, on one recycled
+/// scratch, its runs equal the event engine's.
+#[test]
+fn owned_prepared_plan_matches_event_engine() {
+    for seed in 0..8 {
+        let net = random_net(seed);
+        let n = net.neuron_count();
+        let cfg = RunConfig::until_quiescent(300).with_raster();
+        for threads in [1, 2] {
+            let owned: Prepared<Network> = EngineChoice::Partitioned { parts: 3, threads }
+                .prepare(net.clone())
+                .unwrap();
+            assert_eq!(owned.plan().map(|plan| plan.parts()), Some(3));
+            let mut scratch = RunScratch::new();
+            for s in 0..n {
+                let init = [NeuronId(s as u32)];
+                let got = owned
+                    .run(&init, &cfg, &mut scratch, &mut NullObserver)
+                    .unwrap();
+                let want = EventEngine.run(&net, &init, &cfg).unwrap();
+                assert_eq!(got, want, "seed {seed}, threads {threads}, source {s}");
             }
         }
     }
