@@ -35,8 +35,8 @@
 //!
 //! Engine selection is per batch via [`EngineChoice`]: `Auto` picks the
 //! event engine unless the network forces dense stepping (spontaneous
-//! neurons) or is dense enough that per-step sorting of touched neurons
-//! costs more than a linear sweep.
+//! neurons) or is dense enough that per-delivery touched-set bookkeeping
+//! and per-neuron lazy updates cost more than a word-parallel sweep.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -75,8 +75,10 @@ pub struct RunScratch {
     /// Synaptic input accumulator (all zeros between steps); the event
     /// engine uses it as its per-step `accum`.
     pub(super) syn: Vec<f64>,
-    /// Event engine: membership bitmap for `touched_ids`.
-    pub(super) dirty: Vec<bool>,
+    /// Event engine: membership bitset for `touched_ids`, one bit per
+    /// neuron (`ceil(n / 64)` words; word-aligned per range after
+    /// [`Self::split_ranges`]), all clear between steps.
+    pub(super) dirty: Vec<u64>,
     /// Dense engine: indices with nonzero `syn` this step.
     pub(super) touched_idx: Vec<usize>,
     /// Event engine: neurons receiving input this step.
@@ -118,7 +120,7 @@ impl RunScratch {
         self.syn.clear();
         self.syn.resize(n, 0.0);
         self.dirty.clear();
-        self.dirty.resize(n, false);
+        self.dirty.resize(n.div_ceil(64), 0);
         self.touched_idx.clear();
         self.touched_ids.clear();
         // The bit-plane engine re-sizes (zero-filling) these after reset,
@@ -133,14 +135,23 @@ impl RunScratch {
     /// Resets for `net` (see [`Self::reset`]) and lends out the event
     /// engine's lazy-decay arrays as one disjoint [`LazyRange`] per id
     /// range `bounds[q]..bounds[q + 1]`: the partitioned engine's
-    /// per-partition neuron state, borrowed rather than copied.
+    /// per-partition neuron state, borrowed rather than copied. The
+    /// `dirty` bitset is laid out word-aligned per range — range `q` gets
+    /// `ceil(len_q / 64)` words of its own, indexed by range-local id — so
+    /// each partition's bit scan starts at a word boundary.
     pub(crate) fn split_ranges(&mut self, net: &Network, bounds: &[usize]) -> Vec<LazyRange<'_>> {
         self.reset(net);
+        let (mut word_bounds, mut words) = (vec![0], 0);
+        for w in bounds.windows(2) {
+            words += (w[1] - w[0]).div_ceil(64);
+            word_bounds.push(words);
+        }
+        self.dirty.resize(words, 0);
         split_at_bounds(&mut self.voltages, bounds)
             .into_iter()
             .zip(split_at_bounds(&mut self.last_update, bounds))
             .zip(split_at_bounds(&mut self.syn, bounds))
-            .zip(split_at_bounds(&mut self.dirty, bounds))
+            .zip(split_at_bounds(&mut self.dirty, &word_bounds))
             .map(|(((voltages, last_update), accum), dirty)| LazyRange {
                 voltages,
                 last_update,
@@ -165,12 +176,13 @@ fn split_at_bounds<'s, T>(mut items: &'s mut [T], bounds: &[usize]) -> Vec<&'s m
 }
 
 /// One id range's share of a [`RunScratch`]'s lazy-decay arrays, indexed
-/// by range-local id (see [`RunScratch::split_ranges`]).
+/// by range-local id (see [`RunScratch::split_ranges`]); `dirty` is the
+/// range's own `ceil(len / 64)`-word bitset.
 pub(crate) struct LazyRange<'s> {
     pub(crate) voltages: &'s mut [f64],
     pub(crate) last_update: &'s mut [Time],
     pub(crate) accum: &'s mut [f64],
-    pub(crate) dirty: &'s mut [bool],
+    pub(crate) dirty: &'s mut [u64],
 }
 
 /// Density crossover for [`EngineChoice::Auto`], as an inverse fraction
@@ -181,7 +193,11 @@ pub(crate) struct LazyRange<'s> {
 /// `n ∈ {256, 1024}`, delays 1–9): at `m = n²/4` the bit-plane engine
 /// beats the event engine ~3.8x (saturated frontiers make touched-set
 /// bookkeeping pure overhead), and it stays ahead down to `m = n²/16`
-/// (~1.5x at `n = 256`, ~3.9x at `n = 1024`). On the sparse delay-encoded
+/// (~1.5x at `n = 256`, ~3.9x at `n = 1024`). Those ratios predate the
+/// event engine's sort-free touched-set update, which narrows them; the
+/// per-delivery wheel traffic and per-neuron updates that the bit-plane
+/// engine avoids remain, and the conservative threshold below absorbs
+/// the difference. On the sparse delay-encoded
 /// SSSP nets (`m = 4n`) the event engine wins ~1.4x by skipping quiet
 /// steps. The threshold stays at a conservative `n²/4` because the
 /// bit-plane advantage below it depends on *activity* density (saturated

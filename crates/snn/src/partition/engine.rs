@@ -502,7 +502,7 @@ impl Engine for PartitionedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EventEngine, StopReason};
+    use crate::engine::{EngineChoice, EventEngine, StopReason};
     use crate::params::LifParams;
 
     fn chain(n: usize, delay: u32) -> Network {
@@ -599,6 +599,49 @@ mod tests {
                 let part = PartitionedEngine::new(parts).run(&net, &[a], &cfg).unwrap();
                 assert_eq!(mono, part, "decay = {decay}, parts = {parts}");
             }
+        }
+    }
+
+    #[test]
+    fn recycled_scratch_survives_layout_changes() {
+        // One scratch through partitioned runs whose uneven bounds are no
+        // multiple of 64 (so each range's bitset words differ from the
+        // event layout's) and event runs on a network of another size:
+        // every run must equal its fresh-scratch twin. Leaky neurons rest
+        // at -1 and side edges leave sub-threshold input behind, so stale
+        // voltages, decay times or touched bits would show.
+        let leaky = LifParams {
+            v_reset: -1.0,
+            v_threshold: 0.5,
+            decay: 0.5,
+        };
+        let wide = |n: usize| {
+            let mut net = Network::new();
+            let ids = net.add_neurons(leaky, n);
+            for (i, w) in ids.windows(2).enumerate() {
+                net.connect(w[0], w[1], 2.0, 1 + (i % 3) as u32).unwrap();
+                net.connect(w[0], ids[(i * 7 + 3) % n], 0.4, 5).unwrap();
+            }
+            net
+        };
+        let (big, small) = (wide(333), wide(130));
+        let cfg = RunConfig::until_quiescent(2000).with_raster();
+        let mut scratch = RunScratch::new();
+        let (src, small_src) = ([NeuronId(0)], [NeuronId(5)]);
+        let event = EngineChoice::Event.prepare(&small).unwrap();
+        for (bounds, threads) in [(vec![0, 70, 70, 200, 333], 1), (vec![0, 1, 129, 333], 2)] {
+            let plan = PartitionPlan::with_bounds(&big, bounds).unwrap();
+            let (fresh, _) = plan.run_with_stats_threaded(&src, &cfg, threads).unwrap();
+            let (reused, _) = plan
+                .run_in(&src, &cfg, threads, &mut scratch, &mut NullObserver)
+                .unwrap();
+            assert_eq!(reused, fresh, "bounds {:?}", plan.bounds());
+            assert_eq!(reused, EventEngine.run(&big, &src, &cfg).unwrap());
+
+            let reused = event
+                .run(&small_src, &cfg, &mut scratch, &mut NullObserver)
+                .unwrap();
+            assert_eq!(reused, EventEngine.run(&small, &small_src, &cfg).unwrap());
         }
     }
 

@@ -16,6 +16,12 @@
 //! delivery order. Delays occasionally exceed the time-wheel horizon to
 //! exercise the overflow path (the wheel's ordered map, and the bit-plane
 //! ring's equivalent), and networks run both thawed and frozen.
+//!
+//! The drawn neurons are spread over a few hundred ids by isolated filler
+//! neurons, so touched sets span many 64-bit words of the event engine's
+//! touched bitset: steps reach both its in-order word scan and its sort
+//! fallback (few touched neurons far apart), and partition bounds fall
+//! at and between word edges.
 
 use proptest::prelude::*;
 use sgl_snn::{
@@ -58,6 +64,9 @@ struct NetSpec {
     // (threshold, decay kind: 0 = integrator, 1 = gate, 2 = tau 0.5,
     // reset potential of the tau-0.5 kind)
     neurons: Vec<(f64, u8, f64)>,
+    /// Per drawn neuron, the isolated filler neurons placed before it:
+    /// (gap kind, raw gap), see [`filler_count`].
+    gaps: Vec<(u8, usize)>,
     // (src, dst, weight, small delay, large delay, delay kind)
     synapses: Vec<(usize, usize, f64, u32, u32, u8)>,
     initial: Vec<usize>,
@@ -66,15 +75,48 @@ struct NetSpec {
     cuts: Vec<usize>,
 }
 
+/// Filler neurons before a drawn neuron: none half the time (neighbours
+/// share a word), within a word or two a quarter of the time, and
+/// otherwise one to eleven words' worth — far enough apart that a step
+/// touching two such neurons takes the event engine's sort fallback.
+fn filler_count((kind, raw): (u8, usize)) -> usize {
+    match kind {
+        0..=3 => 0,
+        4 | 5 => raw % 64,
+        6 => 64 + raw % 136,
+        _ => 300 + raw % 400,
+    }
+}
+
 impl NetSpec {
+    /// Each drawn neuron's id in the built network, then the total
+    /// neuron count (fillers included).
+    fn positions(&self) -> Vec<usize> {
+        let mut next = 0;
+        let mut pos: Vec<usize> = self
+            .gaps
+            .iter()
+            .map(|&gap| {
+                next += filler_count(gap);
+                next += 1;
+                next - 1
+            })
+            .collect();
+        pos.push(next);
+        pos
+    }
+
     /// Partition bounds for `parts` partitions from the drawn cut points:
-    /// uneven ranges, with repeated or end cut points leaving some empty.
+    /// cut `c` falls at drawn neuron `c`'s id (the end for `c = n`), so
+    /// ranges are uneven, repeated or end cut points leave some empty, and
+    /// some hold a single drawn neuron behind its fillers.
     fn bounds(&self, parts: usize) -> Vec<usize> {
-        let mut cuts = self.cuts[..parts - 1].to_vec();
+        let pos = self.positions();
+        let mut cuts: Vec<usize> = self.cuts[..parts - 1].iter().map(|&c| pos[c]).collect();
         cuts.sort_unstable();
         let mut bounds = vec![0];
         bounds.extend(cuts);
-        bounds.push(self.neurons.len());
+        bounds.push(pos[pos.len() - 1]);
         bounds
     }
 }
@@ -86,18 +128,22 @@ fn net_spec() -> impl Strategy<Value = NetSpec> {
         // or below their threshold (input-driven), so every engine must
         // start them there rather than at 0.
         let neurons = proptest::collection::vec((0.5f64..4.0, 0u8..3, -1.0f64..=0.0), n);
+        let gaps = proptest::collection::vec((0u8..8, 0usize..400), n);
         // Continuous weights: sums are order-sensitive in the last bits.
         // Delay kind 7 picks a beyond-horizon delay (wheel overflow path).
         let synapse = (0..n, 0..n, -2.5f64..3.5, 1u32..6, 4097u32..6000, 0u8..8);
         let synapses = proptest::collection::vec(synapse, 1..25);
         let initial = proptest::collection::vec(0..n, 1..4);
         let cuts = proptest::collection::vec(0..=n, 7);
-        (neurons, synapses, initial, cuts).prop_map(|(neurons, synapses, initial, cuts)| NetSpec {
-            neurons,
-            synapses,
-            initial,
-            cuts,
-        })
+        (neurons, gaps, synapses, initial, cuts).prop_map(
+            |(neurons, gaps, synapses, initial, cuts)| NetSpec {
+                neurons,
+                gaps,
+                synapses,
+                initial,
+                cuts,
+            },
+        )
     })
 }
 
@@ -106,7 +152,9 @@ fn build(spec: &NetSpec) -> (Network, Vec<NeuronId>) {
     let ids: Vec<NeuronId> = spec
         .neurons
         .iter()
-        .map(|&(threshold, kind, v_reset)| {
+        .zip(&spec.gaps)
+        .map(|(&(threshold, kind, v_reset), &gap)| {
+            net.add_neurons(LifParams::gate_at_least(1), filler_count(gap));
             let params = match kind {
                 0 => LifParams::integrator(threshold),
                 1 => LifParams::gate(threshold),

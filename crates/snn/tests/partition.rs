@@ -318,6 +318,32 @@ fn partitioned_runs_on_a_recycled_scratch_match_fresh_scratch() {
     assert!(small_mono.fired(s[2]) && !small_mono.fired(s[1]));
 }
 
+/// A quiet interval past `i32::MAX` steps decays like any other: 0.25
+/// arriving at t = 1 is gone by t = 3,000,000,001, so 0.3 < 0.5 cannot
+/// fire b — with a and b in separate partitions, inline and pooled.
+#[test]
+fn quiet_interval_beyond_i32_steps_decays_to_nothing() {
+    let mut net = Network::new();
+    let a = net.add_neuron(LifParams::gate_at_least(1));
+    let b = net.add_neuron(LifParams {
+        v_reset: 0.0,
+        v_threshold: 0.5,
+        decay: 0.5,
+    });
+    net.connect(a, b, 0.25, 1).unwrap();
+    net.connect(a, b, 0.3, 3_000_000_001).unwrap();
+    let cfg = RunConfig::until_quiescent(4_000_000_000).with_raster();
+    let event = EventEngine.run(&net, &[a], &cfg).unwrap();
+    assert!(!event.fired(b));
+    for threads in [1, 2] {
+        let part = PartitionedEngine::new(2)
+            .with_threads(threads)
+            .run(&net, &[a], &cfg)
+            .unwrap();
+        assert_eq!(part, event, "threads {threads}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
