@@ -19,12 +19,19 @@
 //! median anchors the sweep's `vs_t1` column.
 //!
 //! Each rung's [`PartitionedEngine::compile`] is timed too — every
-//! `EngineChoice::prepare` of a partitioned net pays it: validation plus
-//! one cut-counting pass, since partition `q` is the contiguous id range
-//! `q·⌈n/K⌉..` of the net itself — and lands in the `compile` column of
-//! the cut-traffic table, beside the compiled plan's
-//! [`PartitionPlan::memory_bytes`] in MB (`plan_mb`: the bounds and cut
-//! counts only; the plan borrows the net).
+//! `EngineChoice::prepare` of a partitioned net pays it. The first
+//! compile of a network pays validation plus one cut-counting pass
+//! (partition `q` is the contiguous id range `q·⌈n/K⌉..` of the net
+//! itself); the network caches its validation, so every later compile
+//! pays the counting pass alone. The cut-traffic table carries both:
+//! `compile_cold`, one compile of a freshly built copy of the net (one
+//! sample), and `compile`, the median over the measured net, whose
+//! validation the event run already cached. Beside them sits the compiled
+//! plan's [`PartitionPlan::memory_bytes`] in MB (`plan_mb`: the bounds
+//! and cut counts only; the plan borrows the net). The `event/<n>` row
+//! runs through `EventEngine.run`, whose `prepare` finds the validation
+//! cached too, so neither side of the `p1`-vs-`event` rule below pays a
+//! network scan per run.
 //!
 //! Emits `SGL_BENCH_JSON` lines (`group: "partition"`, ids `event/<n>`,
 //! `p1/<n>` ... `p8/<n>`, `p<K>t<T>/<n>` for the threaded sweep, and
@@ -44,6 +51,7 @@ use sgl_observe::Json;
 use sgl_snn::engine::{Engine, EventEngine, RunConfig, RunResult, StopCondition};
 use sgl_snn::partition::{PartitionPlan, PartitionedEngine};
 use sgl_snn::{Network, NeuronId};
+use std::time::Instant;
 
 const PART_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Worker-thread counts for the threaded sweep. One thread is the plain
@@ -102,17 +110,23 @@ fn main() {
         );
 
         // Compile one plan per rung (correctness gate before any run
-        // timing), and time the compile itself: every `prepare` pays it.
-        let mut compile_medians = Vec::with_capacity(PART_COUNTS.len());
+        // timing), and time the compile itself: every `prepare` pays it,
+        // the first on a network (validation included) once, cold.
+        let mut compile_times = Vec::with_capacity(PART_COUNTS.len());
         let plans: Vec<PartitionPlan> = PART_COUNTS
             .iter()
             .map(|&p| {
                 let engine = PartitionedEngine::new(p);
+                let fresh = sssp.build_network();
+                let t0 = Instant::now();
+                std::hint::black_box(engine.compile(&fresh).expect("valid SSSP net"));
+                let cold = t0.elapsed();
+                drop(fresh);
                 let timing = measure(samples, || {
                     std::hint::black_box(engine.compile(&net).expect("valid SSSP net"));
                 });
                 append_json_line("partition", &format!("plan_compile/p{p}/{n}"), &timing);
-                compile_medians.push(timing.median);
+                compile_times.push((cold, timing.median));
                 engine.compile(&net).expect("valid SSSP net")
             })
             .collect();
@@ -128,12 +142,14 @@ fn main() {
             "-".into(),
             "-".into(),
             "-".into(),
+            "-".into(),
             format!("{event_median:?}"),
             "1.00".into(),
         ]);
 
         let mut p_medians = Vec::with_capacity(plans.len());
-        for ((plan, &parts), compile) in plans.iter().zip(&PART_COUNTS).zip(&compile_medians) {
+        for ((plan, &parts), (cold, compile)) in plans.iter().zip(&PART_COUNTS).zip(&compile_times)
+        {
             let (result, stats) = plan
                 .run_with_stats_threaded(&[NeuronId(0)], &config, 1)
                 .expect("valid SSSP net");
@@ -152,14 +168,15 @@ fn main() {
             p_medians.push(median);
             let rel = median.as_secs_f64() / event_median.as_secs_f64().max(1e-12);
             println!(
-                "  partitioned@{parts}: cut {} edges, {} messages, compile {compile:?}, \
-                 {median:?} ({rel:.2}x event)",
+                "  partitioned@{parts}: cut {} edges, {} messages, compile {compile:?} \
+                 (cold {cold:?}), {median:?} ({rel:.2}x event)",
                 stats.cut_edges, stats.cut_messages
             );
             rows.push(vec![
                 format!("p{parts}"),
                 stats.cut_edges.to_string(),
                 stats.cut_messages.to_string(),
+                format!("{cold:?}"),
                 format!("{compile:?}"),
                 format!("{:.1}", plan.memory_bytes() as f64 / 1e6),
                 format!("{median:?}"),
@@ -226,6 +243,7 @@ fn main() {
                 "engine",
                 "cut_edges",
                 "cut_messages",
+                "compile_cold",
                 "compile",
                 "plan_mb",
                 "median",

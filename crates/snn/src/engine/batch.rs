@@ -33,6 +33,17 @@
 //!   job), used by the §7 approximate k-hop ensemble where every scale
 //!   rounds edge lengths differently.
 //!
+//! Nothing is paid twice across calls either, so a caller that builds a
+//! fresh `BatchRunner` per query pays only for its runs after the first:
+//! [`Network::validate`] caches its outcome in the network (every mutator
+//! clears it), and the workers of `BatchRunner::run` and `run_jobs` borrow
+//! their scratch from a small process-wide pool that retains capacity —
+//! at most one scratch per default worker
+//! ([`super::sync::MAX_DEFAULT_WORKERS`]), handed back when a worker
+//! ends, panicking or not. A recycled scratch is reset on entry to every
+//! run like any other, and the pool's lock is held for a push or a pop,
+//! never across a run.
+//!
 //! Engine selection is per batch via [`EngineChoice`]: `Auto` picks the
 //! event engine unless the network forces dense stepping (spontaneous
 //! neurons) or is dense enough that per-delivery touched-set bookkeeping
@@ -40,10 +51,11 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sgl_observe::{BatchSummary, NullObserver, RunObserver};
 
-use super::sync::par_map;
+use super::sync::{default_workers, par_map, MAX_DEFAULT_WORKERS};
 use super::wheel::TimeWheel;
 use super::{BitplaneEngine, DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, RunResult};
 use crate::error::SnnError;
@@ -160,6 +172,47 @@ impl RunScratch {
             })
             .collect()
     }
+}
+
+/// Scratches kept between [`BatchRunner::run`] / [`run_jobs`] calls, at
+/// most [`MAX_DEFAULT_WORKERS`] of them, with their capacity.
+static SCRATCH_POOL: Mutex<Vec<RunScratch>> = Mutex::new(Vec::new());
+
+/// The pool, locked for one push or pop. No run ever happens under the
+/// lock, so a poisoned lock still guards a well-formed `Vec`.
+fn scratch_pool() -> MutexGuard<'static, Vec<RunScratch>> {
+    SCRATCH_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A [`RunScratch`] on loan from [`SCRATCH_POOL`] (a fresh one when the
+/// pool is empty). Dropping it — when its `par_map` worker ends, or while
+/// a panicking job unwinds — hands it back unless the pool is full.
+struct PooledScratch(RunScratch);
+
+impl PooledScratch {
+    fn take() -> Self {
+        Self(scratch_pool().pop().unwrap_or_default())
+    }
+}
+
+impl Drop for PooledScratch {
+    fn drop(&mut self) {
+        let mut pool = scratch_pool();
+        if pool.len() < MAX_DEFAULT_WORKERS {
+            pool.push(std::mem::take(&mut self.0));
+        }
+    }
+}
+
+/// [`par_map`] with each worker's scratch borrowed from the pool.
+fn pooled_map<R: Send>(
+    count: usize,
+    threads: usize,
+    job: impl Fn(&mut RunScratch, usize) -> R + Sync,
+) -> Vec<R> {
+    par_map(count, threads, PooledScratch::take, |scratch, i| {
+        job(&mut scratch.0, i)
+    })
 }
 
 /// `items` cut into one disjoint `&mut` chunk per range
@@ -332,8 +385,9 @@ impl EngineChoice {
     }
 
     /// Makes this choice ready to run `net`: resolves `Auto` (default
-    /// partition budget), validates the network once under the chosen
-    /// engine's rules, and for a partitioned choice compiles its
+    /// partition budget), validates the network under the chosen engine's
+    /// rules (a scan only the first time: [`Network::validate`] caches its
+    /// outcome until the next mutation), and for a partitioned choice compiles its
     /// [`PartitionPlan`] (whose compile is that choice's validation).
     /// `net` may be borrowed (`&Network`) or owned (`Network`, for a
     /// cache entry that outlives its builder).
@@ -511,7 +565,8 @@ impl RunSpec {
 }
 
 /// Executes many runs against one shared [`Network`] with per-worker
-/// recycled [`RunScratch`]es.
+/// recycled [`RunScratch`]es, borrowed from a process-wide pool so that
+/// the next call (on this network or any other) starts warm.
 ///
 /// ```
 /// use sgl_snn::{Network, LifParams, NeuronId};
@@ -545,10 +600,7 @@ impl<'a> BatchRunner<'a> {
     pub fn new(net: &'a Network) -> Self {
         Self {
             net,
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8),
+            threads: default_workers(),
             choice: EngineChoice::Auto,
         }
     }
@@ -569,15 +621,19 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Runs every spec, returning results in spec order. The engine is
-    /// prepared once (see [`EngineChoice::prepare`]); each worker recycles
-    /// one scratch across the runs it claims.
+    /// prepared once (see [`EngineChoice::prepare`]; the network's
+    /// validation is cached in it, so only the first call on an unchanged
+    /// network scans it); each worker recycles one scratch across the
+    /// runs it claims, borrowed from a bounded process-wide pool that
+    /// keeps it, capacity and all, for the next call. Results are
+    /// bit-identical to fresh-scratch runs.
     ///
     /// # Errors
     /// Same failure modes as [`super::Engine::run`] (when several specs
     /// fail, the lowest-index failure is returned).
     pub fn run(&self, specs: &[RunSpec]) -> Result<Vec<RunResult>, SnnError> {
         let prepared = self.choice.prepare(self.net)?;
-        par_map(specs.len(), self.threads, RunScratch::new, |scratch, i| {
+        pooled_map(specs.len(), self.threads, |scratch, i| {
             let spec = &specs[i];
             prepared.run(
                 &spec.initial_spikes,
@@ -606,7 +662,7 @@ impl<'a> BatchRunner<'a> {
 }
 
 /// Executes heterogeneous `(network, spec)` jobs over the same
-/// work-stealing fan-out and scratch recycling as [`BatchRunner`]. The
+/// work-stealing fan-out and pooled scratch recycling as [`BatchRunner`]. The
 /// engine is prepared per job, since every job may carry a different
 /// network — the approximate k-hop ensemble runs
 /// one differently-rounded network per scale.
@@ -618,7 +674,7 @@ pub fn run_jobs(
     threads: usize,
     choice: EngineChoice,
 ) -> Result<Vec<RunResult>, SnnError> {
-    par_map(jobs.len(), threads, RunScratch::new, |scratch, i| {
+    pooled_map(jobs.len(), threads, |scratch, i| {
         let (net, spec) = &jobs[i];
         choice.prepare(net)?.run(
             &spec.initial_spikes,
@@ -963,6 +1019,228 @@ mod tests {
         let (net, _) = chain(2, 1);
         let results = BatchRunner::new(&net).run(&[]).unwrap();
         assert!(results.is_empty());
+    }
+
+    /// A slowly leaking, partly inhibitory net of `n` neurons with three
+    /// synapses per neuron and delays 1–9: charge lingers for many steps,
+    /// so a scratch left dirty by one run would show in the next.
+    fn leaky(n: usize) -> Network {
+        let mut net = Network::new();
+        let params = LifParams {
+            v_reset: -0.25,
+            v_threshold: 0.9,
+            decay: 0.25,
+        };
+        let ids = net.add_neurons(params, n);
+        for (i, &src) in ids.iter().enumerate() {
+            for (k, hop) in [1, 7 * i + 1, 13 * i + 5].into_iter().enumerate() {
+                let weight = if (i + k) % 5 == 0 {
+                    -0.4
+                } else {
+                    0.5 + 0.4 * k as f64
+                };
+                let delay = 1 + ((i * 3 + k) % 9) as u32;
+                net.connect(src, ids[(i + hop) % n], weight, delay).unwrap();
+            }
+        }
+        net.freeze();
+        net
+    }
+
+    /// One spec per source (it and its successor spike), then a run from
+    /// neurons 0 and 1 cut off after 4 steps: a one-worker batch hands
+    /// back a scratch still charged and holding in-flight deliveries
+    /// around the ids the next batch's first run starts from.
+    fn specs_from(sources: &[usize], steps: u64) -> Vec<RunSpec> {
+        let pair = |s: usize| vec![NeuronId(s as u32), NeuronId(s as u32 + 1)];
+        let mut specs: Vec<RunSpec> = sources
+            .iter()
+            .map(|&s| RunSpec::new(pair(s), RunConfig::until_quiescent(steps).with_raster()))
+            .collect();
+        specs.push(RunSpec::new(pair(0), RunConfig::fixed(4).with_raster()));
+        specs
+    }
+
+    /// Runs `specs` through a `threads`-worker `BatchRunner` on `choice`
+    /// and checks every result against a fresh `Engine::run` of `fresh`.
+    fn assert_batch_is_fresh(
+        net: &Network,
+        choice: EngineChoice,
+        fresh: &dyn Engine,
+        specs: &[RunSpec],
+        threads: usize,
+    ) {
+        let got = BatchRunner::new(net)
+            .with_engine(choice)
+            .with_threads(threads)
+            .run(specs)
+            .unwrap();
+        for (spec, got) in specs.iter().zip(&got) {
+            let want = fresh.run(net, &spec.initial_spikes, &spec.config).unwrap();
+            assert_eq!(*got, want, "{choice:?} from {:?}", spec.initial_spikes);
+        }
+        assert!(scratch_pool().len() <= MAX_DEFAULT_WORKERS);
+    }
+
+    fn complete(n: usize) -> Network {
+        let mut net = Network::new();
+        let ids = net.add_neurons(LifParams::gate_at_least(1), n);
+        for &u in &ids {
+            for &v in &ids {
+                if u != v {
+                    net.connect(u, v, 1.0, 1 + (u.0 + v.0) % 3).unwrap();
+                }
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn pooled_scratch_follows_changing_sizes_and_engines() {
+        // One calling thread, one worker: each batch most likely gets the
+        // scratch the previous one handed back, however it was laid out.
+        let (big, mid, small) = (leaky(3000), leaky(700), leaky(64));
+        let near_complete = complete(9);
+        let big_specs = specs_from(&[0, 1500, 2990], 400);
+        let mid_specs = specs_from(&[0, 600], 400);
+        assert_batch_is_fresh(
+            &big,
+            EngineChoice::Partitioned {
+                parts: 4,
+                threads: 1,
+            },
+            &crate::partition::PartitionedEngine::new(4),
+            &big_specs,
+            1,
+        );
+        assert_batch_is_fresh(
+            &small,
+            EngineChoice::Event,
+            &EventEngine,
+            &specs_from(&[0, 40], 200),
+            1,
+        );
+        assert_batch_is_fresh(
+            &near_complete,
+            EngineChoice::Bitplane,
+            &BitplaneEngine,
+            &specs_from(&[0, 4], 20),
+            1,
+        );
+        assert_batch_is_fresh(&mid, EngineChoice::Dense, &DenseEngine, &mid_specs, 1);
+        assert_batch_is_fresh(
+            &mid,
+            EngineChoice::Partitioned {
+                parts: 3,
+                threads: 2,
+            },
+            &crate::partition::PartitionedEngine::new(3).with_threads(2),
+            &mid_specs,
+            1,
+        );
+        assert_batch_is_fresh(&big, EngineChoice::Event, &EventEngine, &big_specs, 1);
+    }
+
+    #[test]
+    fn concurrent_batches_share_the_pool() {
+        let (big, small) = (leaky(2000), leaky(300));
+        let (big_specs, small_specs) = (
+            specs_from(&[0, 700, 1400, 1990], 300),
+            specs_from(&[1, 150, 290], 300),
+        );
+        std::thread::scope(|scope| {
+            for caller in 0..4 {
+                let (big, small, big_specs, small_specs) = (&big, &small, &big_specs, &small_specs);
+                scope.spawn(move || {
+                    for round in 0..3 {
+                        if (caller + round) % 2 == 0 {
+                            assert_batch_is_fresh(
+                                big,
+                                EngineChoice::Event,
+                                &EventEngine,
+                                big_specs,
+                                2,
+                            );
+                        } else {
+                            assert_batch_is_fresh(
+                                small,
+                                EngineChoice::Partitioned {
+                                    parts: 2,
+                                    threads: 1,
+                                },
+                                &crate::partition::PartitionedEngine::new(2),
+                                small_specs,
+                                2,
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn the_pool_keeps_at_most_one_scratch_per_default_worker() {
+        // Twice the cap in workers, all holding a scratch at once (the
+        // barrier keeps any worker from finishing before every one has
+        // started): the surplus is dropped on return.
+        let workers = 2 * MAX_DEFAULT_WORKERS;
+        let all_started = std::sync::Barrier::new(workers);
+        pooled_map(workers, workers, |_, _| {
+            all_started.wait();
+        });
+        assert!(scratch_pool().len() <= MAX_DEFAULT_WORKERS);
+        // And through both public entry points.
+        let net = leaky(200);
+        let specs = specs_from(&(0..64).collect::<Vec<_>>(), 100);
+        assert_batch_is_fresh(
+            &net,
+            EngineChoice::Event,
+            &EventEngine,
+            &specs,
+            2 * MAX_DEFAULT_WORKERS,
+        );
+        let jobs: Vec<(Network, RunSpec)> = specs
+            .iter()
+            .map(|spec| (net.clone(), spec.clone()))
+            .collect();
+        run_jobs(&jobs, 2 * MAX_DEFAULT_WORKERS, EngineChoice::Event).unwrap();
+        assert!(scratch_pool().len() <= MAX_DEFAULT_WORKERS);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_pool_usable() {
+        // Each job leaves deliveries in flight in its scratch (a 3-step
+        // budget on delays up to 9), and one job panics after its run; the
+        // unwinding worker still hands its dirty scratch back.
+        let net = leaky(400);
+        let prepared = EngineChoice::Event.prepare(&net).unwrap();
+        for threads in [1, 2] {
+            let outcome = std::panic::catch_unwind(|| {
+                pooled_map(6, threads, |scratch, i| {
+                    let r = prepared
+                        .run(
+                            &[NeuronId(i as u32)],
+                            &RunConfig::fixed(3),
+                            scratch,
+                            &mut NullObserver,
+                        )
+                        .unwrap();
+                    assert!(i != 4, "job 4 panics mid-batch");
+                    r
+                })
+            });
+            assert!(outcome.is_err());
+            assert!(!SCRATCH_POOL.is_poisoned());
+            assert!(scratch_pool().len() <= MAX_DEFAULT_WORKERS);
+            assert_batch_is_fresh(
+                &net,
+                EngineChoice::Event,
+                &EventEngine,
+                &specs_from(&[0, 9, 398], 300),
+                threads,
+            );
+        }
     }
 
     #[test]

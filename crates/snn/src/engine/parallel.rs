@@ -69,12 +69,7 @@ pub struct ParallelDenseEngine {
 
 impl Default for ParallelDenseEngine {
     fn default() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8),
-        )
+        Self::new(super::sync::default_workers())
     }
 }
 

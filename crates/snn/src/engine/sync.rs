@@ -90,6 +90,19 @@ impl SpinBarrier {
     }
 }
 
+/// Most workers a thread-parallel component starts by default: the
+/// [`super::BatchRunner`] pool, a default [`super::ParallelDenseEngine`],
+/// and the number of run scratches the batch pool keeps between calls.
+pub(crate) const MAX_DEFAULT_WORKERS: usize = 8;
+
+/// One worker per available core, capped at [`MAX_DEFAULT_WORKERS`].
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+        .min(MAX_DEFAULT_WORKERS)
+}
+
 /// Applies `job` to every index in `0..count` on up to `threads` scoped
 /// workers and returns the results in index order.
 ///

@@ -327,9 +327,12 @@ pub struct Network {
     /// Build-side adjacency; empty (never allocated) while `frozen`.
     synapses: Vec<Vec<Synapse>>,
     csr: OnceLock<CsrTopology>,
-    /// Bit-plane engine snapshot, derived from the CSR on first use and
-    /// invalidated together with it.
+    /// Bit-plane engine snapshot, derived from the CSR and the neuron
+    /// parameters on first use and invalidated with either.
     bitplane: OnceLock<BitplaneTopology>,
+    /// Cached outcomes of [`Self::validate`], indexed by its
+    /// `for_event_engine` flag; cleared by every mutator.
+    validity: [OnceLock<Result<(), SnnError>>; 2],
     /// When set, `csr` is the authoritative topology and `synapses` is
     /// dropped.
     frozen: bool,
@@ -377,6 +380,7 @@ impl Network {
             synapses: Vec::new(),
             csr: lock,
             bitplane: OnceLock::new(),
+            validity: Default::default(),
             frozen: true,
             inputs,
             outputs,
@@ -393,8 +397,7 @@ impl Network {
         let id = NeuronId(u32::try_from(self.params.len()).expect("more than u32::MAX neurons"));
         self.params.push(params);
         self.synapses.push(Vec::new());
-        self.csr.take();
-        self.bitplane.take();
+        self.clear_topology_caches();
         id
     }
 
@@ -405,8 +408,7 @@ impl Network {
     pub fn add_neurons(&mut self, params: LifParams, count: usize) -> Vec<NeuronId> {
         debug_assert!(params.validate().is_ok(), "invalid LIF parameters");
         self.thaw();
-        self.csr.take();
-        self.bitplane.take();
+        self.clear_topology_caches();
         self.params.reserve(count);
         self.synapses.reserve(count);
         let start = self.params.len();
@@ -448,8 +450,7 @@ impl Network {
             weight,
             delay,
         });
-        self.csr.take();
-        self.bitplane.take();
+        self.clear_topology_caches();
         self.synapse_count += 1;
         self.max_delay = self.max_delay.max(delay);
         Ok(())
@@ -589,7 +590,10 @@ impl Network {
     }
 
     /// Mutable parameters of neuron `id` (reprogramming a deployed net).
+    /// Drops the cached validation outcomes and bit-plane snapshot, which
+    /// both read neuron parameters; the topology stays as it is.
     pub fn params_mut(&mut self, id: NeuronId) -> &mut LifParams {
+        self.clear_param_caches();
         &mut self.params[id.index()]
     }
 
@@ -604,9 +608,25 @@ impl Network {
     /// cached CSR view (thawing a frozen network first).
     pub fn synapses_from_mut(&mut self, id: NeuronId) -> &mut [Synapse] {
         self.thaw();
-        self.csr.take();
-        self.bitplane.take();
+        self.clear_topology_caches();
         &mut self.synapses[id.index()]
+    }
+
+    /// Drops what is derived from neuron parameters: the bit-plane
+    /// snapshot (its OR-mask mode reads thresholds and resets) and the
+    /// cached validation outcomes.
+    fn clear_param_caches(&mut self) {
+        self.bitplane.take();
+        self.validity = Default::default();
+    }
+
+    /// Drops everything derived from the topology: the CSR snapshot and
+    /// all of [`Self::clear_param_caches`]. Callers thaw first, so the
+    /// build-side adjacency is authoritative.
+    fn clear_topology_caches(&mut self) {
+        debug_assert!(!self.frozen, "a frozen network's CSR is its topology");
+        self.csr.take();
+        self.clear_param_caches();
     }
 
     /// Iterates over all neuron ids.
@@ -679,10 +699,23 @@ impl Network {
     /// verifies the event-engine precondition when `for_event_engine`.
     ///
     /// `connect` already rejects zero delays and non-finite weights, but
-    /// [`Self::synapses_from_mut`] permits in-place re-programming that
-    /// bypasses those checks, so the engines re-validate here before a run
-    /// rather than silently mis-scheduling corrupted synapses.
+    /// [`Self::synapses_from_mut`] and [`Self::params_mut`] permit in-place
+    /// re-programming that bypasses those checks, so every
+    /// [`crate::engine::EngineChoice::prepare`] validates here rather than
+    /// silently mis-scheduling corrupted synapses. The outcome is cached
+    /// per flag, so a network is scanned once however often it is
+    /// prepared; every mutator clears the cache, and a clone carries it.
+    ///
+    /// # Errors
+    /// The first invalid neuron or synapse found, in id order.
     pub fn validate(&self, for_event_engine: bool) -> Result<(), SnnError> {
+        self.validity[usize::from(for_event_engine)]
+            .get_or_init(|| self.scan_validity(for_event_engine))
+            .clone()
+    }
+
+    /// The uncached scan behind [`Self::validate`].
+    fn scan_validity(&self, for_event_engine: bool) -> Result<(), SnnError> {
         for (i, p) in self.params.iter().enumerate() {
             p.validate()?;
             if for_event_engine && !p.is_input_driven() {
@@ -707,6 +740,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DenseEngine, Engine, EngineChoice, NullObserver, RunConfig, RunScratch};
 
     #[test]
     fn build_small_network() {
@@ -835,22 +869,124 @@ mod tests {
 
     #[test]
     fn validate_catches_in_place_weight_corruption() {
-        let mut net = Network::new();
-        let a = net.add_neuron(LifParams::default());
-        let b = net.add_neuron(LifParams::default());
-        net.connect(a, b, 1.0, 1).unwrap();
-        assert!(net.validate(false).is_ok());
+        // Both rule sets' outcomes are cached before each corruption.
+        let (mut net, a, b) = prepared_chain();
         net.synapses_from_mut(a)[0].weight = f64::NAN;
-        assert_eq!(
-            net.validate(false),
-            Err(SnnError::NonFiniteWeight { src: a, dst: b })
-        );
-        net.synapses_from_mut(a)[0].weight = 1.0;
+        for choice in [EngineChoice::Event, EngineChoice::Dense] {
+            assert_eq!(
+                choice.prepare(&net).err(),
+                Some(SnnError::NonFiniteWeight { src: a, dst: b })
+            );
+        }
+        let (mut net, a, b) = prepared_chain();
         net.synapses_from_mut(a)[0].delay = 0;
+        for choice in [EngineChoice::Event, EngineChoice::Dense] {
+            assert_eq!(
+                choice.prepare(&net).err(),
+                Some(SnnError::ZeroDelay { src: a, dst: b })
+            );
+        }
+    }
+
+    /// A network with a cached outcome under both validation rules: a
+    /// two-gate chain prepared once for the event engine and once for the
+    /// dense engine.
+    fn prepared_chain() -> (Network, NeuronId, NeuronId) {
+        let mut net = Network::new();
+        let a = net.add_neuron(LifParams::gate(0.5));
+        let b = net.add_neuron(LifParams::gate(0.5));
+        net.connect(a, b, 1.0, 2).unwrap();
+        net.freeze();
+        assert!(EngineChoice::Event.prepare(&net).is_ok());
+        assert!(EngineChoice::Dense.prepare(&net).is_ok());
+        assert!(net.validity.iter().all(|v| v.get() == Some(&Ok(()))));
+        (net, a, b)
+    }
+
+    #[test]
+    fn cached_validation_sees_params_mut() {
+        let (mut net, _, b) = prepared_chain();
+        net.params_mut(b).v_reset = 1.0; // above its 0.5 threshold
         assert_eq!(
-            net.validate(false),
-            Err(SnnError::ZeroDelay { src: a, dst: b })
+            EngineChoice::Event.prepare(&net).err(),
+            Some(SnnError::SpontaneousNeuron(b))
         );
+        assert!(EngineChoice::Dense.prepare(&net).is_ok());
+        // Repairing it is seen too.
+        net.params_mut(b).v_reset = 0.0;
+        assert!(EngineChoice::Event.prepare(&net).is_ok());
+        net.params_mut(b).decay = 2.0;
+        assert_eq!(
+            EngineChoice::Dense.prepare(&net).err(),
+            Some(SnnError::InvalidDecay(2.0))
+        );
+    }
+
+    #[test]
+    fn cached_validation_sees_connect_and_add_neuron() {
+        let (mut net, a, b) = prepared_chain();
+        net.connect(b, a, 1.0, 3).unwrap();
+        assert!(net.validity.iter().all(|v| v.get().is_none()));
+        assert!(EngineChoice::Event.prepare(&net).is_ok());
+
+        let c = net.add_neuron(LifParams {
+            v_reset: 2.0,
+            v_threshold: 1.0,
+            decay: 0.0,
+        });
+        assert_eq!(
+            EngineChoice::Event.prepare(&net).err(),
+            Some(SnnError::SpontaneousNeuron(c))
+        );
+
+        let (mut net, _, _) = prepared_chain();
+        net.add_neurons(LifParams::gate(0.5), 3);
+        assert!(net.validity.iter().all(|v| v.get().is_none()));
+    }
+
+    #[test]
+    fn cached_validation_survives_designation_thaw_and_freeze() {
+        let (mut net, a, b) = prepared_chain();
+        net.mark_input(a);
+        net.mark_output(b);
+        net.set_terminal(b);
+        net.thaw();
+        net.freeze();
+        assert!(net.validity.iter().all(|v| v.get() == Some(&Ok(()))));
+    }
+
+    #[test]
+    fn a_clone_keeps_the_cached_answer_and_its_own_mutations() {
+        let (net, a, b) = prepared_chain();
+        let mut copy = net.clone();
+        assert!(copy.validity.iter().all(|v| v.get() == Some(&Ok(()))));
+        copy.synapses_from_mut(a)[0].weight = f64::INFINITY;
+        assert_eq!(
+            EngineChoice::Event.prepare(&copy).err(),
+            Some(SnnError::NonFiniteWeight { src: a, dst: b })
+        );
+        assert!(EngineChoice::Event.prepare(&net).is_ok());
+        assert!(net.validity.iter().all(|v| v.get() == Some(&Ok(()))));
+    }
+
+    #[test]
+    fn params_mut_rebuilds_the_bitplane_snapshot() {
+        // Gates at 0.5 fed weight 1.0 qualify for OR-mask mode; raising the
+        // target's threshold above the weight must not leave a stale mask
+        // firing it on every arrival.
+        let (mut net, a, b) = prepared_chain();
+        assert!(net.bitplane().uses_masks());
+        net.params_mut(b).v_threshold = 1.5;
+        assert!(net.bitplane.get().is_none());
+        assert!(!net.bitplane().uses_masks());
+        let cfg = RunConfig::fixed(4);
+        let got = EngineChoice::Bitplane
+            .prepare(&net)
+            .unwrap()
+            .run(&[a], &cfg, &mut RunScratch::new(), &mut NullObserver)
+            .unwrap();
+        assert_eq!(got, DenseEngine.run(&net, &[a], &cfg).unwrap());
+        assert_eq!(got.first_spike(b), None);
     }
 
     #[test]
