@@ -228,6 +228,17 @@ impl LazyState<'_> {
     /// Adds the drained batch into `accum`, recording each neuron's first
     /// touch in `dirty` and `touched`. Returns the span of bitset words
     /// holding a touched bit (empty when nothing was delivered).
+    ///
+    /// The loop has no first-touch branch: every delivery sets its dirty
+    /// bit, widens `lo..=hi` (each delivery's word holds a touched bit,
+    /// so the span is the first touches' span) and writes its id at
+    /// `touched[k]`, and only a first touch advances `k`. A repeat's write
+    /// lands past the first touches and the next write overwrites it, so
+    /// `touched[..k]` is the first-touch order.
+    /// `touched` (empty on entry) is sized once per step to
+    /// `min(batch.len(), accum.len() + 1)`: no write lands past the
+    /// deliveries seen or past one beyond the range's distinct ids, and
+    /// an exact reservation keeps its capacity within that bound.
     fn accumulate(&mut self) -> Range<usize> {
         let Self {
             batch,
@@ -236,19 +247,23 @@ impl LazyState<'_> {
             touched,
             ..
         } = self;
-        let (mut lo, mut hi) = (usize::MAX, 0);
+        let len = batch.len().min(accum.len() + 1);
+        touched.reserve_exact(len);
+        touched.resize(len, NeuronId(0));
+        let (mut lo, mut hi, mut k) = (usize::MAX, 0, 0);
         for &(id, w) in batch.iter() {
             let i = id.index();
             let (word, bit) = (i / 64, 1u64 << (i % 64));
-            if dirty[word] & bit == 0 {
-                dirty[word] |= bit;
-                touched.push(id);
-                lo = lo.min(word);
-                hi = hi.max(word);
-            }
+            let first = dirty[word] & bit == 0;
+            dirty[word] |= bit;
+            touched[k] = id;
+            k += usize::from(first);
+            lo = lo.min(word);
+            hi = hi.max(word);
             accum[i] += w;
         }
-        if touched.is_empty() {
+        touched.truncate(k);
+        if k == 0 {
             0..0
         } else {
             lo..hi + 1
@@ -501,6 +516,71 @@ mod tests {
         assert_eq!(scanned, run(false));
         let fired: Vec<u32> = scanned.0.iter().map(|id| id.0).collect();
         assert_eq!(fired, [0, 63, 191, 255, 256]);
+    }
+
+    #[test]
+    fn accumulate_records_each_first_touch_once_in_order() {
+        // 130 neurons over three bitset words. The batches repeat targets
+        // and straddle the 63|64 and 127|128 word edges. The fourth is
+        // longer than the range plus one and follows one of 80, so a
+        // `touched` that grew by doubling would pass `N + 1`.
+        const N: usize = 130;
+        let params = vec![LifParams::gate(0.9); N];
+        let batches: Vec<Vec<u32>> = vec![
+            vec![64, 64, 63, 64, 128, 63, 127, 64],
+            vec![],
+            (40..120).collect(),
+            (0..100)
+                .rev()
+                .chain(0..N as u32)
+                .chain([64, 63, 129])
+                .collect(),
+            vec![127, 128, 127, 128, 5],
+        ];
+        let run = |scan: bool| {
+            let mut voltages = vec![0.0; N];
+            let mut last_update: Vec<Time> = vec![0; N];
+            let mut accum = vec![0.0; N];
+            let mut dirty = vec![0u64; 3];
+            let mut touched = Vec::new();
+            let mut fired = Vec::new();
+            let mut fired_per_step = Vec::new();
+            for (step, ids) in batches.iter().enumerate() {
+                let mut batch = ids.iter().map(|&i| (NeuronId(i), 0.5)).collect();
+                let mut first: Vec<u32> = Vec::new();
+                for &i in ids {
+                    if !first.contains(&i) {
+                        first.push(i);
+                    }
+                }
+                let word = |i: &u32| *i as usize / 64;
+                let span = match (first.iter().map(word).min(), first.iter().map(word).max()) {
+                    (Some(lo), Some(hi)) => lo..hi + 1,
+                    _ => 0..0,
+                };
+                let mut st = LazyState {
+                    batch: &mut batch,
+                    voltages: &mut voltages,
+                    last_update: &mut last_update,
+                    accum: &mut accum,
+                    dirty: &mut dirty,
+                    touched: &mut touched,
+                };
+                let words = st.accumulate();
+                let got: Vec<u32> = st.touched.iter().map(|id| id.0).collect();
+                assert_eq!(got, first, "step {step}: first-touch order");
+                assert_eq!(words, span, "step {step}: word span");
+                assert!(st.touched.capacity() <= N + 1, "touched grew past N + 1");
+                let updates = st.update(step as Time + 1, &params, words, scan, &mut fired);
+                assert_eq!(updates, first.len() as u64);
+                assert!(dirty.iter().all(|&w| w == 0), "bitset left dirty");
+                fired_per_step.push(fired.clone());
+            }
+            (fired_per_step, voltages)
+        };
+        let scanned = run(true);
+        assert_eq!(scanned, run(false));
+        assert_eq!(scanned.0[0], [NeuronId(63), NeuronId(64)]);
     }
 
     #[test]

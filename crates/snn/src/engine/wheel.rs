@@ -4,13 +4,25 @@
 //! time order. The previous implementations paid per-step `HashMap`
 //! rehashing (dense engines) or per-delivery `BinaryHeap` churn (event
 //! engine); the wheel makes both O(1): a delivery lands in
-//! `slots[time % slots.len()]`, slots are drained in place (capacity is
+//! `slots[time & mask]`, slots are drained in place (capacity is
 //! recycled, so steady-state runs stop allocating), and deliveries beyond
 //! the wheel horizon spill into an ordered overflow map.
 //!
-//! Determinism invariant: within one time step, deliveries drain in
-//! exactly the order they were scheduled. Engines schedule in (sorted
-//! firing id) × (CSR synapse order), so every engine accumulates synaptic
+//! The horizon is `clamp(max_delay, 1, HORIZON_CAP)` steps and decides
+//! which deliveries go to the wheel; the slot count is the next power of
+//! two at or above it, so a slot index is one AND rather than a 64-bit
+//! division. The spare slots are never filled: in-horizon times
+//! `now + 1 ..= now + horizon` map to distinct slots either way.
+//!
+//! A drain into an empty `out` swaps the due slot's buffer with `out`
+//! instead of copying it; the slot keeps `out`'s old (empty) buffer, so
+//! capacity circulates between the drain buffer and the slots and the
+//! total stays what the copying drain retained.
+//!
+//! Determinism invariant: within one time step, the step's slot entries
+//! drain first and its overflow entries after them, each group in exactly
+//! the order it was scheduled. Engines schedule in (sorted firing id) ×
+//! (CSR synapse order), so every engine accumulates synaptic
 //! input into a given target in the same order — which keeps floating
 //! point sums, and therefore entire `RunResult`s, bit-identical across
 //! engines.
@@ -31,16 +43,22 @@ pub(crate) type Delivery = (NeuronId, f64);
 /// Shared with [`crate::network::BitplaneTopology`]: the bit-plane engine
 /// splits synapses into in-horizon and overflow sets with the *same*
 /// boundary, so both engines classify — and therefore order — every
-/// delivery identically.
+/// delivery identically. A power of two, so a capped wheel has no spare
+/// slots.
 pub(crate) const HORIZON_CAP: usize = 4096;
 
 /// A calendar queue over discrete time, sized to the network's maximum
 /// synaptic delay (capped; see [`HORIZON_CAP`]).
 #[derive(Clone, Debug)]
 pub(crate) struct TimeWheel {
-    /// `slots[t % slots.len()]` holds deliveries for time `t` whenever
-    /// `now < t <= now + slots.len()`.
+    /// `slots[t & mask]` holds deliveries for time `t` whenever
+    /// `now < t <= now + horizon`. Its length is a power of two.
     slots: Vec<Vec<Delivery>>,
+    /// `slots.len() - 1`.
+    mask: Time,
+    /// Furthest step ahead of `now` that the wheel holds:
+    /// `clamp(max_delay, 1, HORIZON_CAP)`, the bit-plane engine's split.
+    horizon: Time,
     /// Deliveries scheduled beyond the wheel horizon, keyed by time.
     overflow: BTreeMap<Time, Vec<Delivery>>,
     /// All times `<= now` have been drained.
@@ -70,9 +88,11 @@ impl Default for TimeWheel {
 impl TimeWheel {
     /// A wheel able to hold delays up to `max_delay` without overflow.
     pub(crate) fn new(max_delay: u32) -> Self {
-        let len = (max_delay as usize).clamp(1, HORIZON_CAP);
+        let (horizon, len) = shape(max_delay);
         Self {
             slots: vec![Vec::new(); len],
+            mask: len as Time - 1,
+            horizon,
             overflow: BTreeMap::new(),
             now: 0,
             in_flight: 0,
@@ -93,12 +113,14 @@ impl TimeWheel {
     /// runs. Resizing only trims or appends empty slots; retained slots
     /// keep their capacity, so steady-state batches stop allocating.
     pub(crate) fn reset(&mut self, max_delay: u32) {
-        let len = (max_delay as usize).clamp(1, HORIZON_CAP);
+        let (horizon, len) = shape(max_delay);
         self.slots.truncate(len);
         for slot in &mut self.slots {
             slot.clear();
         }
         self.slots.resize(len, Vec::new());
+        self.mask = len as Time - 1;
+        self.horizon = horizon;
         self.overflow.clear();
         self.now = 0;
         self.in_flight = 0;
@@ -122,9 +144,8 @@ impl TimeWheel {
     pub(crate) fn schedule(&mut self, at: Time, target: NeuronId, weight: f64) {
         debug_assert!(at > self.now, "delivery scheduled into the past");
         self.in_flight += 1;
-        let len = self.slots.len() as Time;
-        if at - self.now <= len {
-            let slot = &mut self.slots[(at % len) as usize];
+        if at - self.now <= self.horizon {
+            let slot = &mut self.slots[(at & self.mask) as usize];
             if slot.is_empty() {
                 self.occupied += 1;
             }
@@ -149,7 +170,9 @@ impl TimeWheel {
     }
 
     /// Advances to time `t` and appends every delivery due at `t` to
-    /// `out`, in scheduling order. Slot capacity is retained for reuse.
+    /// `out`, in scheduling order. An empty `out` takes the due slot's
+    /// buffer by swap, so no delivery is copied; either way slot capacity
+    /// is retained for reuse.
     ///
     /// Engines must visit times in non-decreasing order; times may be
     /// skipped (the event engine jumps quiet intervals), in which case any
@@ -159,12 +182,15 @@ impl TimeWheel {
         debug_assert!(t >= self.now, "wheel rewound");
         self.now = t;
         self.scan_from = self.scan_from.max(t + 1);
-        let len = self.slots.len() as Time;
-        let slot = &mut self.slots[(t % len) as usize];
+        let slot = &mut self.slots[(t & self.mask) as usize];
         if !slot.is_empty() {
             self.occupied -= 1;
             self.in_flight -= slot.len();
-            out.append(slot);
+            if out.is_empty() {
+                std::mem::swap(slot, out);
+            } else {
+                out.append(slot);
+            }
         }
         // Overflow entries migrate straight to the drain when their time
         // comes; anything still beyond the horizon stays put.
@@ -187,10 +213,9 @@ impl TimeWheel {
         if self.occupied == 0 {
             return from_overflow;
         }
-        let len = self.slots.len() as Time;
         let start = self.scan_from.max(self.now + 1);
-        let from_wheel =
-            (start..=self.now + len).find(|t| !self.slots[(t % len) as usize].is_empty());
+        let from_wheel = (start..=self.now + self.horizon)
+            .find(|t| !self.slots[(t & self.mask) as usize].is_empty());
         if let Some(w) = from_wheel {
             // Everything before `w` is known empty; remember that.
             self.scan_from = w;
@@ -200,6 +225,14 @@ impl TimeWheel {
             (w, o) => w.or(o),
         }
     }
+}
+
+/// `(horizon, slot count)` for a network whose maximum delay is
+/// `max_delay`: the horizon is `clamp(max_delay, 1, HORIZON_CAP)` and the
+/// slot count the next power of two at or above it.
+fn shape(max_delay: u32) -> (Time, usize) {
+    let horizon = (max_delay as usize).clamp(1, HORIZON_CAP);
+    (horizon as Time, horizon.next_power_of_two())
 }
 
 #[cfg(test)]
@@ -315,11 +348,62 @@ mod tests {
         assert_eq!(s.occupied_slots, 0);
         assert_eq!(s.overflow_entries, 0);
         assert_eq!(s.overflow_hits, 0);
-        assert_eq!(w.slots.len(), 7);
+        assert_eq!((w.horizon, w.slots.len()), (7, 8));
         // A recycled wheel behaves exactly like a fresh one.
         w.schedule(3, NeuronId(2), 4.0);
         assert_eq!(w.next_time(), Some(3));
         assert_eq!(drain(&mut w, 3), vec![(NeuronId(2), 4.0)]);
+    }
+
+    #[test]
+    fn horizon_is_max_delay_not_slot_count() {
+        // max_delay 5: horizon 5 over 8 slots. The three spare slots must
+        // not widen the in-horizon test, or this wheel would classify
+        // deliveries differently from the bit-plane engine.
+        let mut w = TimeWheel::new(5);
+        assert_eq!((w.horizon, w.slots.len()), (5, 8));
+        drain(&mut w, 10); // move the clock off slot 0
+        w.schedule(15, NeuronId(0), 1.0);
+        assert_eq!(w.observe().overflow_hits, 0, "delay 5 is in horizon");
+        assert_eq!(w.observe().occupied_slots, 1);
+        w.schedule(16, NeuronId(1), 2.0);
+        assert_eq!(w.observe().overflow_hits, 1, "delay 6 overflows");
+        assert_eq!(w.observe().occupied_slots, 1);
+        assert_eq!(w.next_time(), Some(15));
+        assert_eq!(drain(&mut w, 15), vec![(NeuronId(0), 1.0)]);
+        assert_eq!(drain(&mut w, 16), vec![(NeuronId(1), 2.0)]);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn swap_and_append_drains_agree() {
+        // Time 13 gets overflow entries (scheduled at now = 0, beyond the
+        // horizon) and slot entries (scheduled at now = 9); an empty `out`
+        // takes the slot by swap, a non-empty one appends, and both must
+        // yield the same deliveries in the same order.
+        let load = || {
+            let mut w = TimeWheel::new(5);
+            w.schedule(13, NeuronId(1), 1.0);
+            w.schedule(13, NeuronId(2), 2.0);
+            w.schedule(3, NeuronId(9), 9.0);
+            assert_eq!(drain(&mut w, 3).len(), 1);
+            drain(&mut w, 9);
+            w.schedule(13, NeuronId(3), 3.0);
+            w.schedule(13, NeuronId(1), 4.0);
+            w.schedule(12, NeuronId(5), 5.0);
+            assert_eq!(w.observe().overflow_hits, 2);
+            assert_eq!(drain(&mut w, 12).len(), 1);
+            w
+        };
+        let swapped = drain(&mut load(), 13);
+        let mut appended = vec![(NeuronId(7), 0.5)];
+        let mut w = load();
+        w.drain_at(13, &mut appended);
+        assert!(w.is_empty());
+        assert_eq!(appended[0], (NeuronId(7), 0.5));
+        assert_eq!(appended[1..], swapped[..]);
+        let ids: Vec<u32> = swapped.iter().map(|d| d.0 .0).collect();
+        assert_eq!(ids, [3, 1, 1, 2], "slot entries, then overflow entries");
     }
 
     #[test]

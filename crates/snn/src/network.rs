@@ -133,7 +133,7 @@ pub(crate) struct DelayBucket {
 #[derive(Clone, Debug)]
 pub struct BitplaneTopology {
     /// Delay horizon: `clamp(max_delay, 1, HORIZON_CAP)` — identical to
-    /// the time wheel's slot count for the same network.
+    /// the time wheel's horizon for the same network.
     pub(crate) horizon: u32,
     /// `u64` words per bit-plane: `ceil(n / 64)`.
     pub(crate) words: usize,
