@@ -5,9 +5,8 @@
 //! ever slower than rebuilding (see `perf_check`'s `apsp_batch` ordering
 //! rule), because then the batch runtime would be pure complexity.
 //!
-//! Emits `SGL_BENCH_JSON` lines in the same format as the criterion shim
-//! (`group: "apsp_batch"`, ids `batch/256` and `rebuild/256`) so
-//! `perf_check` can diff runs against
+//! Emits `SGL_BENCH_JSON` lines (`group: "apsp_batch"`, ids `batch/256`
+//! and `rebuild/256`) so `perf_check` can diff runs against
 //! `crates/bench/baselines/BENCH_apsp_batch.json`.
 
 use rand::rngs::StdRng;

@@ -10,9 +10,8 @@
 //! incremental at any measured size (see `perf_check`'s `compile`
 //! ordering rule), because then the bulk kernel would be pure complexity.
 //!
-//! Emits `SGL_BENCH_JSON` lines in the criterion-shim format
-//! (`group: "compile"`, ids `sssp_bulk/256`, `sssp_incremental/256`, ...)
-//! so `perf_check` can diff runs against
+//! Emits `SGL_BENCH_JSON` lines (`group: "compile"`, ids `sssp_bulk/256`,
+//! `sssp_incremental/256`, ...) so `perf_check` can diff runs against
 //! `crates/bench/baselines/BENCH_compile.json`.
 
 use std::time::Duration;

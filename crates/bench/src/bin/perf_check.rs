@@ -1,5 +1,6 @@
-//! Compares two `SGL_BENCH_JSON` files (JSON lines emitted by the
-//! criterion shim) and reports per-benchmark median deltas.
+//! Compares two `SGL_BENCH_JSON` files (JSON lines emitted by
+//! `sgl_bench::report::append_json_line`) and reports per-benchmark
+//! median deltas.
 //!
 //! Usage: `perf_check <baseline.json> <current.json>`
 //!

@@ -2,9 +2,10 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation as
 //! measured artifacts. Each `table*`/`fig*` module computes the rows for
-//! one artifact; the `src/bin/*` binaries print them; the Criterion
-//! benches in `benches/` measure wall-clock time of the underlying
-//! engines and algorithms. EXPERIMENTS.md records paper-vs-measured for
+//! one artifact; the `src/bin/*` binaries print them, and the timing bins
+//! (`engines`, `apsp_batch`, `compile`, `partition`) measure wall-clock
+//! time of the underlying engines and algorithms through
+//! [`report::measure`]. EXPERIMENTS.md records paper-vs-measured for
 //! each artifact.
 //!
 //! All workloads are seeded, so every run regenerates identical numbers.

@@ -89,24 +89,36 @@ pub struct Timing {
     pub min: Duration,
     /// Mean over the samples.
     pub mean: Duration,
-    /// Samples taken (the warm-up call is not one).
+    /// Samples taken (calibration and warm-up calls are not samples).
     pub samples: usize,
 }
 
-/// Times `f` over `samples` calls after one untimed warm-up call, which
-/// keeps cold page faults and first-touch allocation out of the sample
-/// set.
+/// Times `f` over `samples` samples, each reported per call.
+///
+/// The first call is untimed for the statistics but calibrates: it keeps
+/// cold page faults and first-touch allocation out of the sample set and
+/// sizes a batch of `k = clamp(5 ms / its time, 1, 10 000)` calls per
+/// sample, so timer resolution and loop overhead stay small against what
+/// is timed. A batched closure (`k > 1`) also gets `min(k, 16)` untimed
+/// warm-up calls. A closure that takes over 2.5 ms keeps `k = 1`, so it
+/// runs exactly `1 + samples` times.
 ///
 /// # Panics
 /// Panics if `samples` is zero.
 pub fn measure(samples: usize, mut f: impl FnMut()) -> Timing {
     assert!(samples > 0, "measure needs at least one sample");
+    let t0 = Instant::now();
     f();
+    let once_ns = t0.elapsed().as_nanos().max(50);
+    let batch = (5_000_000 / once_ns).clamp(1, 10_000) as u32;
+    if batch > 1 {
+        (0..batch.min(16)).for_each(|_| f());
+    }
     let mut times: Vec<Duration> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
-            f();
-            t0.elapsed()
+            (0..batch).for_each(|_| f());
+            t0.elapsed() / batch
         })
         .collect();
     times.sort_unstable();
@@ -118,10 +130,10 @@ pub fn measure(samples: usize, mut f: impl FnMut()) -> Timing {
     }
 }
 
-/// Appends `timing` as one `SGL_BENCH_JSON` line under `group`/`id`, in
-/// the criterion shim's format, so `perf_check` reads both without caring
-/// which harness measured. Does nothing when `SGL_BENCH_JSON` is unset; a
-/// write failure is reported on stderr, not fatal.
+/// Appends `timing` as one `SGL_BENCH_JSON` line under `group`/`id`
+/// (`{"group":..,"id":..,"median_ns":..,"min_ns":..,"mean_ns":..,"samples":..}`),
+/// the format `perf_check` reads. Does nothing when `SGL_BENCH_JSON` is
+/// unset; a write failure is reported on stderr, not fatal.
 pub fn append_json_line(group: &str, id: &str, timing: &Timing) {
     let Some(path) = std::env::var_os("SGL_BENCH_JSON") else {
         return;
@@ -204,6 +216,49 @@ mod tests {
             parse_json(line).unwrap();
         }
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn json_line_appends_to_env_path() {
+        let path = std::env::temp_dir().join(format!("sgl_bench_json_{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        std::env::set_var("SGL_BENCH_JSON", &path);
+        let timing = Timing {
+            median: Duration::from_nanos(1500),
+            min: Duration::from_nanos(1000),
+            mean: Duration::from_nanos(1600),
+            samples: 5,
+        };
+        append_json_line("g", "id/64", &timing);
+        std::env::remove_var("SGL_BENCH_JSON");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            "{\"group\":\"g\",\"id\":\"id/64\",\"median_ns\":1500,\"min_ns\":1000,\"mean_ns\":1600,\"samples\":5}\n"
+        );
+        // The fields `perf_check` keys and compares on.
+        let v = parse_json(text.trim_end()).unwrap();
+        assert_eq!(v.get("group").and_then(Json::as_str), Some("g"));
+        assert_eq!(v.get("id").and_then(Json::as_str), Some("id/64"));
+        assert_eq!(v.get("median_ns").and_then(Json::as_u64), Some(1500));
+    }
+
+    #[test]
+    fn measure_batches_only_short_closures() {
+        let samples = 3;
+        let mut calls = 0usize;
+        let t = measure(samples, || calls += 1);
+        assert!(calls > 1 + samples, "short closure ran {calls} times");
+        assert_eq!(t.samples, samples);
+
+        let mut calls = 0usize;
+        let t = measure(samples, || {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(6));
+        });
+        assert_eq!(calls, 1 + samples);
+        assert!(t.min >= Duration::from_millis(6) && t.min <= t.median);
     }
 
     #[test]

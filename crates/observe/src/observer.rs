@@ -3,9 +3,9 @@
 //! Engines call the [`RunObserver`] hooks at fixed points of a run; the
 //! generic parameter monomorphizes, so with the default [`NullObserver`]
 //! every hook inlines to nothing and the hot path is byte-identical to an
-//! unobserved build (the criterion smoke benches guard this). Hooks use
-//! only plain integers — this crate sits below the simulator and stays
-//! dependency-free.
+//! unobserved build (the `engines` bench bin's `perf_check` baseline
+//! guards this). Hooks use only plain integers — this crate sits below
+//! the simulator and stays dependency-free.
 
 use crate::hist::LogHistogram;
 use crate::json::Json;

@@ -1,6 +1,6 @@
 //! Literal time-stepped engine: every neuron is updated every step.
 
-use sgl_observe::{NullObserver, RunObserver, StepRecord};
+use sgl_observe::{RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::wheel::TimeWheel;
@@ -21,18 +21,8 @@ use crate::types::{NeuronId, Time};
 pub struct DenseEngine;
 
 impl Engine for DenseEngine {
-    fn run(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<RunResult, SnnError> {
-        EngineChoice::Dense.prepare(net)?.run(
-            initial_spikes,
-            config,
-            &mut RunScratch::new(),
-            &mut NullObserver,
-        )
+    fn choice(&self) -> EngineChoice {
+        EngineChoice::Dense
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use sgl_observe::{NullObserver, RunObserver, StepRecord};
+use sgl_observe::{RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::dense::route_spikes;
@@ -34,18 +34,8 @@ use crate::types::{NeuronId, Time};
 pub struct EventEngine;
 
 impl Engine for EventEngine {
-    fn run(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<RunResult, SnnError> {
-        EngineChoice::Event.prepare(net)?.run(
-            initial_spikes,
-            config,
-            &mut RunScratch::new(),
-            &mut NullObserver,
-        )
+    fn choice(&self) -> EngineChoice {
+        EngineChoice::Event
     }
 }
 

@@ -220,10 +220,14 @@ impl RunResult {
 
 /// A spiking-network execution engine.
 pub trait Engine {
+    /// The [`EngineChoice`] that runs this engine.
+    fn choice(&self) -> EngineChoice;
+
     /// Runs `net` with spikes induced in `initial_spikes` at `t = 0`: a
-    /// one-shot [`EngineChoice::prepare`] plus [`Prepared::run`] over a
-    /// fresh scratch. Callers running one network many times (or with an
-    /// observer) prepare once and call [`Prepared::run`] themselves.
+    /// one-shot [`EngineChoice::prepare`] of [`Self::choice`] plus
+    /// [`Prepared::run`] over a fresh scratch. Callers running one network
+    /// many times (or with an observer) prepare once and call
+    /// [`Prepared::run`] themselves.
     ///
     /// # Errors
     /// Fails on invalid networks, unknown initial neurons, a `Terminal`
@@ -234,7 +238,9 @@ pub trait Engine {
         net: &Network,
         initial_spikes: &[NeuronId],
         config: &RunConfig,
-    ) -> Result<RunResult, SnnError>;
+    ) -> Result<RunResult, SnnError> {
+        self.choice().run_once(net, initial_spikes, config)
+    }
 }
 
 /// Shared bookkeeping between engines: spike recording + stop tracking.

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use sgl_observe::{NullObserver, RunObserver, StepRecord};
+use sgl_observe::{RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::dense::route_spikes;
@@ -97,18 +97,8 @@ struct WorkerCell {
 }
 
 impl Engine for ParallelDenseEngine {
-    fn run(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<RunResult, SnnError> {
-        EngineChoice::Parallel(*self).prepare(net)?.run(
-            initial_spikes,
-            config,
-            &mut RunScratch::new(),
-            &mut NullObserver,
-        )
+    fn choice(&self) -> EngineChoice {
+        EngineChoice::Parallel(*self)
     }
 }
 

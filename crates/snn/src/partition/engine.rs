@@ -37,7 +37,7 @@ use std::sync::Mutex;
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats};
 
 use crate::engine::wheel::TimeWheel;
-use crate::engine::{Engine, RunConfig, RunResult, RunScratch};
+use crate::engine::{Engine, EngineChoice, RunConfig, RunResult, RunScratch};
 use crate::error::SnnError;
 use crate::network::Network;
 use crate::types::{NeuronId, Time};
@@ -483,19 +483,15 @@ impl PartitionedEngine {
 }
 
 impl Engine for PartitionedEngine {
-    /// One-shot compile + run. Repeated runs over one network compile once
-    /// instead: [`crate::engine::EngineChoice::prepare`] or
-    /// [`Self::compile`] plus
+    /// A one-shot [`Engine::run`] compiles the plan on every call.
+    /// Repeated runs over one network compile once instead:
+    /// [`EngineChoice::prepare`] or [`Self::compile`] plus
     /// [`PartitionPlan::run_with_stats_threaded`].
-    fn run(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-    ) -> Result<RunResult, SnnError> {
-        self.compile(net)?
-            .run_with_stats_threaded(initial_spikes, config, self.threads)
-            .map(|(result, _)| result)
+    fn choice(&self) -> EngineChoice {
+        EngineChoice::Partitioned {
+            parts: self.parts,
+            threads: self.threads,
+        }
     }
 }
 

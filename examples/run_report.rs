@@ -20,8 +20,8 @@
 //!   incremental graph→SNN construction medians, speedups, and resident
 //!   synapse memory at each size:
 //!   `cargo run --release --example run_report -- artifacts/BENCH_compile.json`
-//! - `BENCH_engines.json` (raw `SGL_BENCH_JSON` criterion lines from the
-//!   engines bench, not a [`RunReport`]): one row per benchmark, plus a
+//! - `BENCH_engines.json` (raw `SGL_BENCH_JSON` lines from the `engines`
+//!   bench bin, not a [`RunReport`]): one row per benchmark, plus a
 //!   bitplane-vs-dense speedup table over the paired rows the perf_check
 //!   ordering rule is enforced on:
 //!   `cargo run --release --example run_report -- artifacts/BENCH_engines.json`
@@ -67,9 +67,9 @@ fn print_histogram(label: &str, hist: &LogHistogram) {
 /// (`serve` and `compile` have dedicated views).
 fn render_report_file(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    // Criterion-shim line files (`SGL_BENCH_JSON`) are flat benchmark
-    // rows, not RunReports; Chrome trace files (`sgl-stress --trace`)
-    // are one JSON object with `traceEvents`. Dispatch on shape.
+    // `SGL_BENCH_JSON` line files are flat benchmark rows, not
+    // RunReports; Chrome trace files (`sgl-stress --trace`) are one JSON
+    // object with `traceEvents`. Dispatch on shape.
     if let Some(first) = text.lines().find(|l| !l.trim().is_empty()) {
         if let Ok(v) = spiking_graphs::observe::parse_json(first) {
             if v.get("traceEvents").is_some() {
@@ -346,7 +346,7 @@ fn render_trace_file(v: &Json, path: &str) {
     );
 }
 
-/// Renders a criterion-shim `SGL_BENCH_JSON` line file (the format of
+/// Renders an `SGL_BENCH_JSON` line file (the format of
 /// `BENCH_engines.json`): every row's median, then — for each
 /// `bitplane*` row with a `dense*` sibling under the same parameter —
 /// the speedup the bit-plane engine delivers, with a sparkline. This is
